@@ -637,20 +637,16 @@ func BenchmarkOverlapAblation(b *testing.B) {
 	for _, model := range []string{"b2", "b5"} {
 		model := model
 		b.Run(model+"_1024cores", func(b *testing.B) {
-			var o, g podsim.OverlapResult
+			var g podsim.OverlapResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				o, err = podsim.ModelStepOverlapped(model, 1024, 32768, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
 				g, err = podsim.ModelStepGradReady(model, 1024, 32768, 0, 4<<20)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(o.AllReducePct(), "serialized-allreduce-pct")
-			b.ReportMetric(o.SpeedupPct(), "overlap-speedup-pct")
+			b.ReportMetric(g.AllReducePct(), "serialized-allreduce-pct")
+			b.ReportMetric(g.SpeedupPct(), "overlap-speedup-pct")
 			b.ReportMetric(100*g.OverlapFraction, "gradready-overlap-pct")
 		})
 	}

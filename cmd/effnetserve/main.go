@@ -5,9 +5,9 @@
 // costs (and, on multi-core hosts, engaging the batch-parallel convolution
 // kernels).
 //
-// Boot from a weights-only checkpoint or from a training snapshot
-// directory; the latter is watched, and newer snapshots hot-swap in without
-// dropping in-flight requests:
+// Boot from one snapshot file or from a snapshot directory; the latter is
+// watched, and newer snapshots hot-swap in without dropping in-flight
+// requests:
 //
 //	effnetserve -snapshot-dir runs/exp1/snapshots -addr :8080
 //
@@ -46,8 +46,8 @@ import (
 
 func main() {
 	var (
-		checkpointPath = flag.String("checkpoint", "", "weights-only checkpoint to serve (exclusive with -snapshot-dir)")
-		snapshotDir    = flag.String("snapshot-dir", "", "training snapshot directory to serve; watched for hot reload")
+		checkpointPath = flag.String("checkpoint", "", "snapshot file to serve, not watched (exclusive with -snapshot-dir)")
+		snapshotDir    = flag.String("snapshot-dir", "", "snapshot directory to serve; watched for hot reload")
 		poll           = flag.Duration("poll", 2*time.Second, "snapshot-dir polling interval for hot reload (<0 disables)")
 		addr           = flag.String("addr", ":8080", "HTTP listen address")
 		maxBatch       = flag.Int("max-batch", 32, "max requests coalesced into one forward")

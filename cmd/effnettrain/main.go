@@ -67,9 +67,9 @@ func main() {
 		gradBucket = flag.Int("grad-bucket", 0, "gradient bucket size in bytes for overlapped reduction (0 = default 32 KiB)")
 		noOverlap  = flag.Bool("no-backward-overlap", false, "dispatch gradient buckets only after backward completes (bit-identical A/B baseline for the in-backward overlap)")
 		prefetch   = flag.Int("prefetch", replica.DefaultPrefetchDepth, "input-pipeline depth: batches rendered ahead per replica (0 = render synchronously on the training path)")
-		saveCkpt   = flag.String("save", "", "write a weights-only checkpoint of replica 0's model here after training")
-		bestCkpt   = flag.String("save-best", "", "write a weights-only checkpoint here after every best-so-far evaluation")
-		loadCkpt   = flag.String("load", "", "load a weights-only checkpoint into every replica before training")
+		saveCkpt   = flag.String("save", "", "write replica 0's model here after training (a model-only snapshot)")
+		bestCkpt   = flag.String("save-best", "", "write a model-only snapshot here after every best-so-far evaluation")
+		loadCkpt   = flag.String("load", "", "load the model weights of any snapshot into every replica before training")
 		snapDir    = flag.String("snapshot-dir", "", "directory for periodic full training-state snapshots (step-<n>.ckpt)")
 		snapEvery  = flag.Int("snapshot-every", 0, "write a training-state snapshot every N steps (0 = off; needs -snapshot-dir)")
 		keepLast   = flag.Int("keep-last", 3, "retain only the N most recent snapshots (0 = keep all)")

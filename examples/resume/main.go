@@ -6,7 +6,7 @@
 // Snapshots capture everything a faithful resume needs: model weights, BN
 // running statistics (per replica — BN groups diverge), optimizer slots, the
 // EMA shadow, the schedule position, and each replica's RNG and
-// data-pipeline cursors. A weights-only checkpoint (train.Session.
+// data-pipeline cursors. A model-only checkpoint (train.Session.
 // SaveCheckpoint) cannot do this: it would restart the optimizer, EMA,
 // schedule and input order from scratch.
 package main

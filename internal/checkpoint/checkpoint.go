@@ -1,223 +1,18 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"strings"
 
 	"effnetscale/internal/efficientnet"
 	"effnetscale/internal/nn"
+	"effnetscale/internal/tensor"
 )
-
-// Weights-only format versions. They share one number space with
-// SnapshotFormat (2) so each reader can recognize the other kind of file and
-// point at the right API instead of failing on a field mismatch.
-const (
-	// weightsFormatMap is the original weights-only layout: parameters in a
-	// gob map, whose encoding order gob randomizes — two saves of identical
-	// weights produce different bytes. Still readable, no longer written.
-	weightsFormatMap = 1
-	// weightsFormat is the current weights-only layout: parameters as a
-	// name-sorted slice, so identical weights always encode to identical
-	// bytes and two checkpoints can be compared with cmp/sha256sum.
-	weightsFormat = 3
-)
-
-// weightsFile is the on-disk representation of the current weights-only
-// format: the header of the original checkpoint.Save with the parameter map
-// replaced by a name-sorted slice for deterministic encoding.
-type weightsFile struct {
-	Format     int
-	ModelName  string
-	NumClasses int
-	Resolution int
-	Params     []namedBlob
-	BNMeans    []tensorBlob
-	BNVars     []tensorBlob
-}
-
-// legacyWeightsFile is the format-1 layout (the gob shape of the original
-// checkpoint.Save), kept so old checkpoints load unchanged.
-type legacyWeightsFile struct {
-	Format     int
-	ModelName  string
-	NumClasses int
-	Resolution int
-	Params     map[string]tensorBlob
-	BNMeans    []tensorBlob
-	BNVars     []tensorBlob
-}
-
-type tensorBlob struct {
-	Shape []int
-	Data  []float32
-}
-
-type namedBlob struct {
-	Name  string
-	Shape []int
-	Data  []float32
-}
-
-// SaveWeights writes the model's parameters and BN running statistics to w
-// in the weights-only serving format (previously checkpoint.Save). The
-// encoding is deterministic: saving the same weights twice produces
-// byte-identical output, so two training runs can be compared with cmp on
-// their checkpoints. Full training state belongs in a Snapshot instead.
-func SaveWeights(w io.Writer, m *efficientnet.Model) error {
-	s := weightsFile{
-		Format:     weightsFormat,
-		ModelName:  m.Config.Name,
-		NumClasses: m.Config.NumClasses,
-		Resolution: m.Config.Resolution,
-	}
-	seen := make(map[string]bool)
-	for _, p := range m.Params() {
-		if seen[p.Name] {
-			return fmt.Errorf("checkpoint: duplicate parameter name %q", p.Name)
-		}
-		seen[p.Name] = true
-		s.Params = append(s.Params, namedBlob{
-			Name:  p.Name,
-			Shape: append([]int(nil), p.Data().Shape()...),
-			Data:  append([]float32(nil), p.Data().Data()...),
-		})
-	}
-	sort.Slice(s.Params, func(i, j int) bool { return s.Params[i].Name < s.Params[j].Name })
-	for _, bn := range m.BatchNorms() {
-		s.BNMeans = append(s.BNMeans, tensorBlob{Shape: bn.RunningMean.Shape(), Data: append([]float32(nil), bn.RunningMean.Data()...)})
-		s.BNVars = append(s.BNVars, tensorBlob{Shape: bn.RunningVar.Shape(), Data: append([]float32(nil), bn.RunningVar.Data()...)})
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// decodeWeights reads either weights-only layout from r and returns the
-// normalized contents (parameters keyed by name). Format validation belongs
-// to the caller: a snapshot file decodes "successfully" here (its Format
-// field is readable, its components are not weights fields) precisely so the
-// caller can point at the snapshot API.
-func decodeWeights(r io.Reader) (*legacyWeightsFile, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	var s weightsFile
-	serr := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s)
-	if serr == nil {
-		out := &legacyWeightsFile{
-			Format:     s.Format,
-			ModelName:  s.ModelName,
-			NumClasses: s.NumClasses,
-			Resolution: s.Resolution,
-			Params:     make(map[string]tensorBlob, len(s.Params)),
-			BNMeans:    s.BNMeans,
-			BNVars:     s.BNVars,
-		}
-		for _, p := range s.Params {
-			out.Params[p.Name] = tensorBlob{Shape: p.Shape, Data: p.Data}
-		}
-		return out, nil
-	}
-	// The sorted decode fails on a format-1 file at the Params field (wire
-	// map vs local slice) — re-decode with the legacy struct.
-	var l legacyWeightsFile
-	if lerr := gob.NewDecoder(bytes.NewReader(raw)).Decode(&l); lerr != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", serr)
-	}
-	return &l, nil
-}
-
-// LoadWeights restores parameters and BN statistics into m, which must have
-// the same architecture the checkpoint was saved from (previously
-// checkpoint.Load). Files written by the old map-ordered Save (format 1)
-// load unchanged.
-func LoadWeights(r io.Reader, m *efficientnet.Model) error {
-	s, err := decodeWeights(r)
-	if err != nil {
-		return err
-	}
-	if s.Format != weightsFormat && s.Format != weightsFormatMap {
-		if s.Format == SnapshotFormat {
-			return fmt.Errorf("checkpoint: file is a full training snapshot (format %d); restore it with ReadSnapshot / train.WithResume, or extract weights via the model codec", SnapshotFormat)
-		}
-		return fmt.Errorf("checkpoint: unsupported format %d (want %d)", s.Format, weightsFormat)
-	}
-	if s.ModelName != m.Config.Name {
-		return fmt.Errorf("checkpoint: saved from model %q, loading into %q", s.ModelName, m.Config.Name)
-	}
-	params := m.Params()
-	if len(s.Params) != len(params) {
-		return fmt.Errorf("checkpoint: has %d params, model has %d", len(s.Params), len(params))
-	}
-	for _, p := range params {
-		blob, ok := s.Params[p.Name]
-		if !ok {
-			return fmt.Errorf("checkpoint: missing parameter %q", p.Name)
-		}
-		if len(blob.Data) != p.Data().Len() {
-			return fmt.Errorf("checkpoint: parameter %q has %d elements, model wants %d", p.Name, len(blob.Data), p.Data().Len())
-		}
-		copy(p.Data().Data(), blob.Data)
-	}
-	bns := m.BatchNorms()
-	if len(s.BNMeans) != len(bns) || len(s.BNVars) != len(bns) {
-		return fmt.Errorf("checkpoint: has %d BN stats, model has %d", len(s.BNMeans), len(bns))
-	}
-	for i, bn := range bns {
-		if len(s.BNMeans[i].Data) != bn.RunningMean.Len() {
-			return fmt.Errorf("checkpoint: BN %d stats size mismatch", i)
-		}
-		copy(bn.RunningMean.Data(), s.BNMeans[i].Data)
-		copy(bn.RunningVar.Data(), s.BNVars[i].Data)
-	}
-	return nil
-}
-
-// SaveWeightsFile writes a weights-only checkpoint to path atomically and
-// durably (temp file + fsync + rename + directory fsync; previously
-// checkpoint.SaveFile, which renamed without syncing).
-func SaveWeightsFile(path string, m *efficientnet.Model) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return SaveWeights(w, m) })
-}
-
-// LoadWeightsFile restores a weights-only checkpoint from path (previously
-// checkpoint.LoadFile).
-func LoadWeightsFile(path string, m *efficientnet.Model) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadWeights(f, m)
-}
-
-// WeightsInfo reports a weights-only checkpoint's model identity without a
-// pre-built model: family name, class count and train/eval resolution. A
-// serving loader uses this to construct the matching architecture before
-// LoadWeightsFile fills it.
-func WeightsInfo(path string) (model string, numClasses, resolution int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	defer f.Close()
-	s, err := decodeWeights(f)
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("checkpoint: %s: %w", path, err)
-	}
-	if s.Format != weightsFormat && s.Format != weightsFormatMap {
-		return "", 0, 0, fmt.Errorf("checkpoint: %s has format %d, not a weights-only checkpoint (want %d)", path, s.Format, weightsFormat)
-	}
-	return s.ModelName, s.NumClasses, s.Resolution, nil
-}
 
 // ModelInfo reports the model identity recorded in a snapshot's "model"
-// component — the counterpart of WeightsInfo for full training-state
-// snapshots.
+// component: family name, class count and train/eval resolution. A serving
+// loader uses it to construct the matching architecture before restoring.
 func ModelInfo(s *Snapshot) (model string, numClasses, resolution int, err error) {
 	c, err := s.Component("model")
 	if err != nil {
@@ -277,53 +72,72 @@ func (s modelState) CaptureState() (Component, error) {
 // must be present with matching shape, and the component must carry nothing
 // the model does not have — extra state means the snapshot was taken from a
 // different architecture and silently dropping it would corrupt the resume.
+// All of that is checked before the first copy, so a rejected component
+// leaves the model untouched.
 func (s modelState) RestoreState(c Component) error {
-	family, err := c.Str("family")
+	srcs, dsts, err := s.stage(c)
 	if err != nil {
 		return err
 	}
+	for i, dst := range dsts {
+		copy(dst, srcs[i])
+	}
+	return nil
+}
+
+// CheckModelState reports whether c would restore into m, without writing:
+// the validation half of ModelState(m).RestoreState, for callers that must
+// reject a snapshot before mutating anything else.
+func CheckModelState(m *efficientnet.Model, c Component) error {
+	_, _, err := modelState{m}.stage(c)
+	return err
+}
+
+// stage validates identity, presence, shape and surplus keys, and returns the
+// validated payloads paired with the model buffers they restore into.
+func (s modelState) stage(c Component) (srcs, dsts [][]float32, err error) {
+	family, err := c.Str("family")
+	if err != nil {
+		return nil, nil, err
+	}
 	if family != s.m.Config.Name {
-		return fmt.Errorf("snapshot saved from model %q, restoring into %q", family, s.m.Config.Name)
+		return nil, nil, fmt.Errorf("snapshot saved from model %q, restoring into %q", family, s.m.Config.Name)
 	}
 	classes, err := c.I64("classes")
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if int(classes) != s.m.Config.NumClasses {
-		return fmt.Errorf("snapshot has %d classes, model has %d", classes, s.m.Config.NumClasses)
+		return nil, nil, fmt.Errorf("snapshot has %d classes, model has %d", classes, s.m.Config.NumClasses)
 	}
 	res, err := c.I64("resolution")
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if int(res) != s.m.Config.Resolution {
-		return fmt.Errorf("snapshot at resolution %d, model at %d", res, s.m.Config.Resolution)
+		return nil, nil, fmt.Errorf("snapshot at resolution %d, model at %d", res, s.m.Config.Resolution)
 	}
 	known := map[string]bool{"family": true, "classes": true, "resolution": true}
-	for _, p := range s.m.Params() {
-		key := "param/" + p.Name
-		data, err := c.F32(key, p.Data().Shape())
+	want := func(key string, dst *tensor.Tensor) error {
+		data, err := c.F32(key, dst.Shape())
 		if err != nil {
 			return err
 		}
-		copy(p.Data().Data(), data)
 		known[key] = true
+		srcs, dsts = append(srcs, data), append(dsts, dst.Data())
+		return nil
+	}
+	for _, p := range s.m.Params() {
+		if err := want("param/"+p.Name, p.Data()); err != nil {
+			return nil, nil, err
+		}
 	}
 	for i, bn := range s.m.BatchNorms() {
-		for _, kv := range []struct {
-			key string
-			dst []float32
-			sh  []int
-		}{
-			{fmt.Sprintf("bn/%d/mean", i), bn.RunningMean.Data(), bn.RunningMean.Shape()},
-			{fmt.Sprintf("bn/%d/var", i), bn.RunningVar.Data(), bn.RunningVar.Shape()},
-		} {
-			data, err := c.F32(kv.key, kv.sh)
-			if err != nil {
-				return err
-			}
-			copy(kv.dst, data)
-			known[kv.key] = true
+		if err := want(fmt.Sprintf("bn/%d/mean", i), bn.RunningMean); err != nil {
+			return nil, nil, err
+		}
+		if err := want(fmt.Sprintf("bn/%d/var", i), bn.RunningVar); err != nil {
+			return nil, nil, err
 		}
 	}
 	var extra []string
@@ -334,7 +148,7 @@ func (s modelState) RestoreState(c Component) error {
 	}
 	if len(extra) > 0 {
 		sort.Strings(extra)
-		return fmt.Errorf("snapshot carries state the model does not have: %s", strings.Join(extra, ", "))
+		return nil, nil, fmt.Errorf("snapshot carries state the model does not have: %s", strings.Join(extra, ", "))
 	}
-	return nil
+	return srcs, dsts, nil
 }

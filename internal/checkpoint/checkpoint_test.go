@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,144 +22,9 @@ func newPico(seed int64) *efficientnet.Model {
 	return efficientnet.New(rand.New(rand.NewSource(seed)), cfg)
 }
 
-func TestSaveLoadWeightsRoundTrip(t *testing.T) {
-	src := newPico(1)
-	// Make BN running stats nontrivial.
-	src.BatchNorms()[0].RunningMean.Data()[0] = 3.25
-
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := newPico(99) // different init
-	if err := LoadWeights(&buf, dst); err != nil {
-		t.Fatal(err)
-	}
-	sp, dp := src.Params(), dst.Params()
-	for i := range sp {
-		for j := range sp[i].Data().Data() {
-			if sp[i].Data().Data()[j] != dp[i].Data().Data()[j] {
-				t.Fatalf("param %s differs after round trip", sp[i].Name)
-			}
-		}
-	}
-	if dst.BatchNorms()[0].RunningMean.Data()[0] != 3.25 {
-		t.Fatal("BN running stats not restored")
-	}
-	// Same outputs on the same input.
-	x := autograd.Constant(tensor.Randn(rand.New(rand.NewSource(5)), 1, 1, 3, 32, 32))
-	ctx := nn.EvalCtx()
-	ys, yd := src.Forward(ctx, x), dst.Forward(ctx, x)
-	for i := range ys.T.Data() {
-		if ys.T.Data()[i] != yd.T.Data()[i] {
-			t.Fatal("restored model produces different outputs")
-		}
-	}
-}
-
-func TestSaveWeightsDeterministic(t *testing.T) {
-	// The weights encoding must be byte-for-byte reproducible so two runs'
-	// checkpoints can be compared with cmp (CI's hybrid-smoke job does
-	// exactly that to prove a D×1 mesh matches pure data parallelism).
-	// The original map-backed format failed this: gob randomizes map order.
-	var a, b bytes.Buffer
-	if err := SaveWeights(&a, newPico(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveWeights(&b, newPico(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two saves of identical weights produced different bytes")
-	}
-}
-
-func TestLoadWeightsReadsLegacyMapFormat(t *testing.T) {
-	// Checkpoints written before the sorted format (format 1, parameters in
-	// a gob map) must keep loading.
-	src := newPico(1)
-	legacy := legacyWeightsFile{
-		Format:     weightsFormatMap,
-		ModelName:  src.Config.Name,
-		NumClasses: src.Config.NumClasses,
-		Resolution: src.Config.Resolution,
-		Params:     make(map[string]tensorBlob),
-	}
-	for _, p := range src.Params() {
-		legacy.Params[p.Name] = tensorBlob{Shape: p.Data().Shape(), Data: p.Data().Data()}
-	}
-	for _, bn := range src.BatchNorms() {
-		legacy.BNMeans = append(legacy.BNMeans, tensorBlob{Shape: bn.RunningMean.Shape(), Data: bn.RunningMean.Data()})
-		legacy.BNVars = append(legacy.BNVars, tensorBlob{Shape: bn.RunningVar.Shape(), Data: bn.RunningVar.Data()})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	dst := newPico(99)
-	if err := LoadWeights(bytes.NewReader(buf.Bytes()), dst); err != nil {
-		t.Fatalf("legacy format load: %v", err)
-	}
-	sp, dp := src.Params(), dst.Params()
-	for i := range sp {
-		for j := range sp[i].Data().Data() {
-			if sp[i].Data().Data()[j] != dp[i].Data().Data()[j] {
-				t.Fatalf("param %s differs after legacy load", sp[i].Name)
-			}
-		}
-	}
-}
-
-func TestLoadWeightsRejectsWrongModel(t *testing.T) {
-	src := newPico(1)
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	cfg, _ := efficientnet.ConfigByName("nano", 10)
-	other := efficientnet.New(rand.New(rand.NewSource(2)), cfg)
-	if err := LoadWeights(&buf, other); err == nil {
-		t.Fatal("loading a pico checkpoint into nano must fail")
-	}
-}
-
-func TestLoadWeightsRejectsGarbage(t *testing.T) {
-	m := newPico(1)
-	if err := LoadWeights(bytes.NewReader([]byte("not a checkpoint")), m); err == nil {
-		t.Fatal("garbage input must fail to decode")
-	}
-}
-
-func TestSaveLoadWeightsFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.ckpt")
-	src := newPico(3)
-	if err := SaveWeightsFile(path, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := newPico(4)
-	if err := LoadWeightsFile(path, dst); err != nil {
-		t.Fatal(err)
-	}
-	if src.Params()[0].Data().Data()[0] != dst.Params()[0].Data().Data()[0] {
-		t.Fatal("file round trip lost data")
-	}
-	if err := LoadWeightsFile(filepath.Join(dir, "missing.ckpt"), dst); err == nil {
-		t.Fatal("missing file must error")
-	}
-	// No temp droppings left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries after atomic save, want 1", len(entries))
-	}
-}
-
 // --- Snapshot component/codec error paths -------------------------------------
 
-func modelSnapshot(t *testing.T, m *efficientnet.Model) *Snapshot {
+func modelSnapshot(t testing.TB, m *efficientnet.Model) *Snapshot {
 	t.Helper()
 	snap := NewSnapshot()
 	if err := snap.Capture(ModelState(m)); err != nil {
@@ -166,24 +33,59 @@ func modelSnapshot(t *testing.T, m *efficientnet.Model) *Snapshot {
 	return snap
 }
 
+// flatWeights copies every value ModelState restores (parameters, then BN
+// running statistics) into one slice, for before/after comparison.
+func flatWeights(m *efficientnet.Model) []float32 {
+	var out []float32
+	for _, p := range m.Params() {
+		out = append(out, p.Data().Data()...)
+	}
+	for _, bn := range m.BatchNorms() {
+		out = append(out, bn.RunningMean.Data()...)
+		out = append(out, bn.RunningVar.Data()...)
+	}
+	return out
+}
+
+// sameBits reports bit-for-bit equality (NaN-safe, unlike ==).
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestModelStateRoundTrip(t *testing.T) {
 	src := newPico(1)
 	src.BatchNorms()[1].RunningVar.Data()[0] = 7.5
-	snap := modelSnapshot(t, src)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, modelSnapshot(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst := newPico(42)
 	if err := snap.Restore(ModelState(dst)); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range src.Params() {
-		dp := dst.Params()[i]
-		for j := range p.Data().Data() {
-			if p.Data().Data()[j] != dp.Data().Data()[j] {
-				t.Fatalf("param %s differs after snapshot round trip", p.Name)
-			}
-		}
+	if !sameBits(flatWeights(src), flatWeights(dst)) {
+		t.Fatal("weights differ after snapshot round trip")
 	}
 	if dst.BatchNorms()[1].RunningVar.Data()[0] != 7.5 {
 		t.Fatal("BN running stats not restored through codec")
+	}
+	// Same outputs on the same input.
+	x := autograd.Constant(tensor.Randn(rand.New(rand.NewSource(5)), 1, 1, 3, 32, 32))
+	ys, yd := src.Forward(nn.EvalCtx(), x), dst.Forward(nn.EvalCtx(), x)
+	if !sameBits(ys.T.Data(), yd.T.Data()) {
+		t.Fatal("restored model produces different outputs")
 	}
 }
 
@@ -202,27 +104,51 @@ func TestModelStateRejectsMissingAndExtraState(t *testing.T) {
 	snap := modelSnapshot(t, m)
 	comp := snap.Components["model"]
 
-	// Missing parameter state.
-	name := "param/" + m.Params()[3].Name
+	// Every rejection must leave the target model bit-identical: a restore
+	// that copies while it validates hands back a half-overwritten model.
+	dst := newPico(2)
+	before := flatWeights(dst)
+	reject := func(what, wantErr string) {
+		t.Helper()
+		err := snap.Restore(ModelState(dst))
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s restore = %v, want error containing %q", what, err, wantErr)
+		}
+		if cerr := CheckModelState(dst, comp); cerr == nil || !strings.Contains(cerr.Error(), wantErr) {
+			t.Fatalf("%s check = %v, want error containing %q", what, cerr, wantErr)
+		}
+		if !sameBits(before, flatWeights(dst)) {
+			t.Fatalf("rejected %s restore wrote to the model", what)
+		}
+	}
+
+	// Missing state: the last BN blob, so everything before it validates.
+	name := fmt.Sprintf("bn/%d/var", len(m.BatchNorms())-1)
 	saved := comp[name]
 	delete(comp, name)
-	if err := snap.Restore(ModelState(newPico(2))); err == nil || !strings.Contains(err.Error(), "missing state") {
-		t.Fatalf("missing param restore = %v, want missing-state error", err)
-	}
+	reject("missing-state", "missing state")
 	comp[name] = saved
 
 	// Extra state the model does not have.
 	comp.PutF32("param/ghost.w", []int{2}, []float32{1, 2})
-	err := snap.Restore(ModelState(newPico(2)))
-	if err == nil || !strings.Contains(err.Error(), "ghost.w") {
-		t.Fatalf("extra-state restore = %v, want error naming ghost.w", err)
-	}
+	reject("extra-state", "ghost.w")
 	delete(comp, "param/ghost.w")
 
 	// Shape mismatch.
 	comp.PutF32(name, []int{1}, []float32{3})
-	if err := snap.Restore(ModelState(newPico(2))); err == nil || !strings.Contains(err.Error(), "shape") {
-		t.Fatalf("shape-mismatch restore = %v, want shape error", err)
+	reject("shape-mismatch", "shape")
+	comp[name] = saved
+
+	// Wrong identity.
+	comp.PutI64("classes", 11)
+	reject("wrong-classes", "classes")
+	comp.PutI64("classes", 10)
+
+	if err := CheckModelState(dst, comp); err != nil {
+		t.Fatalf("check of the repaired component = %v", err)
+	}
+	if !sameBits(before, flatWeights(dst)) {
+		t.Fatal("CheckModelState wrote to the model")
 	}
 }
 
@@ -239,6 +165,13 @@ func TestSnapshotFileRoundTripAndErrors(t *testing.T) {
 	}
 	if err := back.Restore(ModelState(newPico(4))); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := ReadSnapshotFile(filepath.Join(dir, "missing.ckpt")); err == nil {
+		t.Fatal("missing file must error")
+	}
+	// The atomic write leaves no temp droppings behind.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory has %d entries after atomic save (%v), want 1", len(entries), err)
 	}
 
 	// Truncated file: descriptive decode error, not a panic or partial load.
@@ -264,25 +197,18 @@ func TestSnapshotFileRoundTripAndErrors(t *testing.T) {
 	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "unsupported snapshot format") {
 		t.Fatalf("future-format read = %v, want unsupported-format error", err)
 	}
-}
 
-func TestFormatCrossoverErrors(t *testing.T) {
-	// A legacy weights file is not a snapshot, and vice versa; both
-	// directions must fail with errors that point at the right API.
-	var weights bytes.Buffer
-	if err := SaveWeights(&weights, newPico(1)); err != nil {
+	// A file in the retired map layout gets the same error, naming its number.
+	old := struct {
+		Format     int
+		Components map[string]Component
+	}{Format: 2, Components: map[string]Component{"model": {"family": Blob{Str: "pico"}}}}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(weights.Bytes())); err == nil || !strings.Contains(err.Error(), "LoadWeights") {
-		t.Fatalf("snapshot-read of weights file = %v, want pointer to LoadWeights", err)
-	}
-
-	var snapBuf bytes.Buffer
-	if err := WriteSnapshot(&snapBuf, modelSnapshot(t, newPico(1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadWeights(bytes.NewReader(snapBuf.Bytes()), newPico(2)); err == nil || !strings.Contains(err.Error(), "snapshot") {
-		t.Fatalf("weights-read of snapshot file = %v, want pointer to snapshot API", err)
+	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "unsupported snapshot format 2") {
+		t.Fatalf("retired-format read = %v, want unsupported-format-2 error", err)
 	}
 }
 

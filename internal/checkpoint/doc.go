@@ -1,11 +1,11 @@
-// Package checkpoint is the versioned training-state snapshot subsystem: a
-// component-based Snapshot format that captures everything a resumed run
-// needs to continue bit-for-bit (model weights and BN statistics, optimizer
-// slots, EMA shadow weights, loop position, per-replica RNG and
-// data-pipeline cursors), an async Writer that persists snapshots atomically
-// (fsync + rename) off the training critical path, and the legacy
-// weights-only format (SaveWeights/LoadWeights) kept for serving trained
-// models.
+// Package checkpoint is the one on-disk state format: a versioned Snapshot
+// of named components, encoded deterministically (equal state, equal bytes).
+// A full training snapshot carries everything a resumed run needs to
+// continue bit-for-bit (model weights and BN statistics, optimizer slots,
+// EMA shadow weights, loop position, per-replica RNG and data-pipeline
+// cursors); a weights checkpoint for serving is the same file holding only
+// the "model" component. An async Writer persists snapshots atomically
+// (fsync + rename) off the training critical path.
 //
 // Seams: StateCodec (StateKey/CaptureState/RestoreState with presence,
 // shape and identity validation) is how stateful subsystems participate —

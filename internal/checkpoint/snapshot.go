@@ -12,10 +12,10 @@ import (
 	"strings"
 )
 
-// SnapshotFormat is the on-disk format version of full training-state
-// snapshots. Version 1 is the legacy weights-only format (SaveWeights /
-// LoadWeights); bump this on incompatible layout changes.
-const SnapshotFormat = 2
+// SnapshotFormat is the on-disk format version, the only one ReadSnapshot
+// accepts; bump it on incompatible layout changes. Numbers 1-3 belong to
+// retired layouts and must not be reused.
+const SnapshotFormat = 4
 
 // Blob is one named piece of component state: a shaped float32 tensor, a
 // float64/int64 vector, or a string. Exactly the payload kinds the training
@@ -232,42 +232,74 @@ func (s *Snapshot) Restore(codecs ...StateCodec) error {
 
 // --- Snapshot file IO --------------------------------------------------------
 
-// WriteSnapshot gob-encodes the snapshot to w.
+// The wire form of a snapshot: components and their blobs as name-sorted
+// slices. gob encodes maps in random order, so encoding the in-memory maps
+// directly would make two writes of one snapshot differ; sorted slices make
+// equal snapshots byte-identical files, comparable with cmp — across
+// processes too, as long as wireSnapshot stays the only type the program
+// gob-encodes (gob numbers types per process in order of first encoding).
+type wireSnapshot struct {
+	Format int
+	// Named apart from Snapshot.Components so that gob skips the map field of
+	// a retired-format file and the reader reaches the format check instead
+	// of failing on a type mismatch.
+	Sorted []wireComponent
+}
+
+type wireComponent struct {
+	Name  string
+	Blobs []wireBlob
+}
+
+type wireBlob struct {
+	Name string
+	Blob Blob
+}
+
+// WriteSnapshot gob-encodes the snapshot to w in its deterministic wire form.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
+	ws := wireSnapshot{Format: s.Format, Sorted: make([]wireComponent, 0, len(s.Components))}
+	for _, name := range s.Keys() {
+		c := s.Components[name]
+		wc := wireComponent{Name: name, Blobs: make([]wireBlob, 0, len(c))}
+		for _, key := range c.Keys() {
+			wc.Blobs = append(wc.Blobs, wireBlob{Name: key, Blob: c[key]})
+		}
+		ws.Sorted = append(ws.Sorted, wc)
+	}
+	if err := gob.NewEncoder(w).Encode(ws); err != nil {
 		return fmt.Errorf("checkpoint: encode snapshot: %w", err)
 	}
 	return nil
 }
 
-// ReadSnapshot decodes and validates a snapshot from r. Weights-only
-// checkpoints (formats 1 and 3) are detected and rejected with a pointer to
-// LoadWeights; truncated or corrupt input fails the decode with a
-// descriptive error rather than returning partial state.
+// ReadSnapshot decodes and validates a snapshot from r. Truncated or corrupt
+// input fails with a descriptive error rather than returning partial state.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	var ws wireSnapshot
+	if err := gob.NewDecoder(r).Decode(&ws); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode snapshot (truncated or corrupt?): %w", err)
 	}
-	if s.Format == weightsFormatMap || s.Format == weightsFormat {
-		return nil, fmt.Errorf("checkpoint: file is a weights-only checkpoint (format %d); load it with LoadWeights", s.Format)
+	if ws.Format != SnapshotFormat {
+		return nil, fmt.Errorf("checkpoint: unsupported snapshot format %d (want %d)", ws.Format, SnapshotFormat)
 	}
-	if s.Format != SnapshotFormat {
-		return nil, fmt.Errorf("checkpoint: unsupported snapshot format %d (want %d)", s.Format, SnapshotFormat)
-	}
-	if len(s.Components) == 0 {
+	if len(ws.Sorted) == 0 {
 		return nil, fmt.Errorf("checkpoint: snapshot has no components")
 	}
-	return &s, nil
-}
-
-// WriteSnapshotFile writes the snapshot to path atomically and durably: the
-// payload goes to a temp file in the same directory, which is fsynced before
-// the rename and whose directory is fsynced after it, so a crash at any
-// point leaves either the complete old file or the complete new one — never
-// a truncated snapshot under the final name.
-func WriteSnapshotFile(path string, s *Snapshot) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, s) })
+	s := NewSnapshot()
+	for _, wc := range ws.Sorted {
+		c := make(Component, len(wc.Blobs))
+		for _, wb := range wc.Blobs {
+			if _, dup := c[wb.Name]; dup {
+				return nil, fmt.Errorf("checkpoint: component %q repeats state %q (corrupt?)", wc.Name, wb.Name)
+			}
+			c[wb.Name] = wb.Blob
+		}
+		if err := s.Add(wc.Name, c); err != nil {
+			return nil, fmt.Errorf("%w (corrupt?)", err)
+		}
+	}
+	return s, nil
 }
 
 // ReadSnapshotFile reads and validates a snapshot from path.
@@ -364,10 +396,23 @@ func ReadLatestSnapshot(dir string) (*Snapshot, string, error) {
 	return nil, "", fmt.Errorf("checkpoint: no readable snapshot in %s: %w", dir, errors.Join(errs...))
 }
 
-// writeFileAtomic writes via a same-directory temp file with fsync on the
-// file before rename and on the directory after, shared by snapshot and
-// legacy weights writers.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
+// ReadSnapshotPath reads the snapshot a path names: the file itself, or for
+// a directory the newest readable step-*.ckpt in it (ReadLatestSnapshot). The
+// returned src names the file actually loaded.
+func ReadSnapshotPath(path string) (snap *Snapshot, src string, err error) {
+	if info, statErr := os.Stat(path); statErr == nil && info.IsDir() {
+		return ReadLatestSnapshot(path)
+	}
+	snap, err = ReadSnapshotFile(path)
+	return snap, path, err
+}
+
+// WriteSnapshotFile writes the snapshot to path atomically and durably: the
+// payload goes to a temp file in the same directory, which is fsynced before
+// the rename and whose directory is fsynced after it, so a crash at any
+// point leaves either the complete old file or the complete new one — never
+// a truncated snapshot under the final name.
+func WriteSnapshotFile(path string, s *Snapshot) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -379,7 +424,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := WriteSnapshot(f, s); err != nil {
 		return fail(err)
 	}
 	// fsync the temp file before renaming it into place: rename orders

@@ -49,24 +49,24 @@ func WithGeometryHint(perReplicaBatch, gradAccum int) Option {
 	}
 }
 
-// snapGeometry reads and validates the snapshot's recorded geometry plus the
-// keys resharding needs. It rejects snapshots from before the split
-// fingerprint (nothing to validate the trajectory against) and snapshots
-// taken on a hybrid mesh (model-sharded per-rank state does not re-partition
-// along the data axis).
+// snapGeometry reads and validates the snapshot's recorded geometry. It
+// rejects snapshots taken on a hybrid mesh (model-sharded per-rank state does
+// not re-partition along the data axis).
 func snapGeometry(snap *checkpoint.Snapshot) (eng checkpoint.Component, old Geometry, err error) {
 	eng, err = snap.Component(engineComponent)
 	if err != nil {
 		return nil, Geometry{}, err
 	}
-	if _, err := eng.Str("trajectory"); err != nil {
-		return nil, Geometry{}, fmt.Errorf("elastic: snapshot predates elastic resharding (no trajectory fingerprint); re-capture it with a current binary first")
+	meshStr, err := eng.Str("mesh")
+	if err != nil {
+		return nil, Geometry{}, fmt.Errorf("elastic: %w", err)
 	}
-	if meshStr, merr := eng.Str("mesh"); merr == nil {
-		shape, perr := mesh.ParseShape(meshStr)
-		if perr == nil && shape.Model > 1 {
-			return nil, Geometry{}, fmt.Errorf("elastic: snapshot was taken on a %s hybrid mesh; only pure data-parallel (Dx1) snapshots reshard", meshStr)
-		}
+	shape, err := mesh.ParseShape(meshStr)
+	if err != nil {
+		return nil, Geometry{}, fmt.Errorf("elastic: snapshot %w", err)
+	}
+	if shape.Model > 1 {
+		return nil, Geometry{}, fmt.Errorf("elastic: snapshot was taken on a %s hybrid mesh; only pure data-parallel (Dx1) snapshots reshard", meshStr)
 	}
 	for key, dst := range map[string]*int{
 		"world": &old.World, "batch": &old.PerReplicaBatch, "accum": &old.GradAccum,
@@ -156,7 +156,10 @@ func Reshard(snap *checkpoint.Snapshot, newShape mesh.Shape, opts ...Option) (*c
 	if err != nil {
 		return nil, fmt.Errorf("elastic: %w", err)
 	}
-	traj, _ := eng.Str("trajectory")
+	traj, err := eng.Str("trajectory")
+	if err != nil {
+		return nil, fmt.Errorf("elastic: %w", err)
+	}
 	step, err := eng.I64("step")
 	if err != nil {
 		return nil, fmt.Errorf("elastic: %w", err)
@@ -166,9 +169,6 @@ func Reshard(snap *checkpoint.Snapshot, newShape mesh.Shape, opts ...Option) (*c
 
 	// Engine component: keep the trajectory identity and step position,
 	// rewrite the geometry to the target, and mark the snapshot as resharded.
-	// The legacy "config" string becomes a sentinel that can never equal a
-	// real fingerprint, so pre-elastic binaries reject the snapshot instead
-	// of restoring per-rank state into the wrong partitions.
 	ne := checkpoint.Component{}
 	ne.PutI64("step", step)
 	ne.PutStr("trajectory", traj)
@@ -177,10 +177,8 @@ func Reshard(snap *checkpoint.Snapshot, newShape mesh.Shape, opts ...Option) (*c
 	ne.PutI64("batch", int64(plan.PerReplicaBatch))
 	ne.PutI64("accum", int64(plan.GradAccum))
 	ne.PutStr("mesh", mesh.Shape{Data: plan.World, Model: 1}.String())
-	provenance := fmt.Sprintf("resharded world %d->%d batch %d->%d accum %d->%d",
-		old.World, plan.World, old.PerReplicaBatch, plan.PerReplicaBatch, old.GradAccum, plan.GradAccum)
-	ne.PutStr("elastic", provenance)
-	ne.PutStr("config", fmt.Sprintf("elastic-%s: %s", provenance, traj))
+	ne.PutStr("elastic", fmt.Sprintf("resharded world %d->%d batch %d->%d accum %d->%d",
+		old.World, plan.World, old.PerReplicaBatch, plan.PerReplicaBatch, old.GradAccum, plan.GradAccum))
 	if err := out.Add(engineComponent, ne); err != nil {
 		return nil, err
 	}

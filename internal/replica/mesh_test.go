@@ -161,34 +161,3 @@ func TestRestoreRejectsMeshShapeChange(t *testing.T) {
 		t.Fatalf("restore into identical 2x2 engine: %v", err)
 	}
 }
-
-// TestMeshFingerprintSuffix pins the compatibility contract: pure
-// data-parallel fingerprints are byte-identical with and without an explicit
-// mesh (old snapshots keep restoring), and only hybrid shapes add the
-// mesh term.
-func TestMeshFingerprintSuffix(t *testing.T) {
-	plain, err := New(miniEngineConfig(2, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	meshed, err := New(meshEngineConfig(2, 1, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer meshed.Close()
-	if a, b := plain.ConfigFingerprint(), meshed.ConfigFingerprint(); a != b {
-		t.Fatalf("2x1 mesh fingerprint differs from plain world-2:\n  %s\n  %s", a, b)
-	}
-	if strings.Contains(plain.ConfigFingerprint(), "mesh=") {
-		t.Fatal("pure data-parallel fingerprint must not carry a mesh term")
-	}
-	hybrid, err := New(meshEngineConfig(1, 2, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hybrid.Close()
-	if !strings.Contains(hybrid.ConfigFingerprint(), "mesh=1x2") {
-		t.Fatalf("hybrid fingerprint lacks mesh term: %s", hybrid.ConfigFingerprint())
-	}
-}

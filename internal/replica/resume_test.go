@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -261,6 +262,87 @@ func TestRestoreRejectsMissingComponent(t *testing.T) {
 	defer e2.Close()
 	if err := e2.RestoreState(snap); err == nil || !strings.Contains(err.Error(), "replica/3") {
 		t.Fatalf("missing-replica restore = %v, want error naming replica/3", err)
+	}
+}
+
+// TestRestoreRejectsBadModelCleanly: a model component the architecture does
+// not accept is caught by the validation pass — the engine keeps its state,
+// stays in sync and stays usable, rather than being half-overwritten and
+// poisoned.
+func TestRestoreRejectsBadModelCleanly(t *testing.T) {
+	e, err := New(resumeEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Step()
+	snap, err := e.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Components["model"].PutF32("param/ghost.w", []int{2}, []float32{1, 2})
+
+	e2, err := New(resumeEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	before, err := e2.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.RestoreState(snap); err == nil || !strings.Contains(err.Error(), "ghost.w") {
+		t.Fatalf("surplus-parameter restore = %v, want error naming ghost.w", err)
+	}
+	after, err := e2.CaptureState()
+	if err != nil {
+		t.Fatalf("engine unusable after a rejected restore: %v", err)
+	}
+	if d := diffSnapshots(before, after); d != "" {
+		t.Fatalf("rejected restore changed engine state at %s", d)
+	}
+	if d := e2.WeightsInSync(); d != "" {
+		t.Fatalf("replicas out of sync after a rejected restore: %s", d)
+	}
+	e2.Step()
+}
+
+// TestSnapshotBytesDeterministic: equal training state encodes to equal
+// bytes — two captures of one engine, and a write → read → write round trip —
+// so snapshot files can be compared with cmp.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	e, err := New(resumeEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Step()
+	encode := func(snap *checkpoint.Snapshot) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := checkpoint.WriteSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	capture := func() []byte {
+		t.Helper()
+		snap, err := e.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(snap)
+	}
+	first := capture()
+	if !bytes.Equal(first, capture()) {
+		t.Fatal("two captures of the same engine state encoded to different bytes")
+	}
+	back, err := checkpoint.ReadSnapshot(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, encode(back)) {
+		t.Fatal("write -> read -> write is not a fixed point")
 	}
 }
 

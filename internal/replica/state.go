@@ -27,7 +27,10 @@ import (
 // requires both to match bit-for-bit; an elastic resume (internal/elastic)
 // validates only the trajectory and rewrites the topology — world-changed
 // resume is statistically continuous, not bit-for-bit, because fp summation
-// order and per-rank RNG streams move with the topology.
+// order and per-rank RNG streams move with the topology. Trajectory-neutral
+// knobs (prefetch depth, eval strategy and cadence) are in neither; the LR
+// schedule is a function and cannot be fingerprinted, so the train package
+// checks it (Session.scheduleCurve).
 
 // Snapshot component keys owned by the engine. "model" is owned by the
 // checkpoint.ModelState codec; callers (the train package) may add further
@@ -51,40 +54,6 @@ func (e *Engine) StateComponents() []string {
 		keys = append(keys, fmt.Sprintf(replicaComponent, r))
 	}
 	return keys
-}
-
-// ConfigFingerprint renders every configuration field that shapes the
-// training trajectory bit-for-bit: the data order (seed, dataset, world,
-// batch geometry), the arithmetic (model, optimizer, precision, smoothing,
-// BN setup, regularization), and the reduction order (collective algorithm,
-// gradient bucket size). A snapshot restores only into an engine with an
-// identical fingerprint; trajectory-neutral knobs (prefetch depth, eval
-// strategy and cadence) are deliberately excluded. The LR schedule is a
-// function and cannot be fingerprinted — resuming with a different schedule
-// is the caller's responsibility (the train package rebuilds it from the
-// same options).
-//
-// This is the legacy single-string form, still written so snapshots restore
-// on older binaries; new code validates TrajectoryFingerprint and
-// TopologyFingerprint, whose union covers the same fields.
-func (e *Engine) ConfigFingerprint() string {
-	c := e.cfg
-	d := c.Dataset.Config()
-	fp := fmt.Sprintf(
-		"model=%s world=%d batch=%d accum=%d opt=%s wd=%g bngroup=%d slice=%dx%d conv_bf16=%t smooth=%g seed=%d dropout=%g dropconnect=%g augment=%t bnmomentum=%g ema=%g collective=%s bucket=%d data[classes=%d train=%d val=%d res=%d noise=%g seed=%d]",
-		c.Model, c.World, c.PerReplicaBatch, c.GradAccumSteps, c.OptimizerName, c.WeightDecay,
-		c.BNGroupSize, c.Slice.Rows, c.Slice.Cols, c.Precision.ConvBF16, c.LabelSmoothing, c.Seed,
-		c.DropoutOverride, c.DropConnectOverride, !c.NoAugment, c.BNMomentum, c.EMADecay,
-		e.replicas[0].coll.Algorithm(), c.GradBucketBytes,
-		d.NumClasses, d.TrainSize, d.ValSize, d.Resolution, d.NoiseStd, d.Seed,
-	)
-	// A hybrid mesh changes the data shard layout and reduction order. Pure
-	// data parallelism (Model = 1) omits the suffix so snapshots taken before
-	// the mesh existed keep restoring.
-	if c.Mesh.Model > 1 {
-		fp += " mesh=" + c.Mesh.String()
-	}
-	return fp
 }
 
 // TrajectoryFingerprint renders the configuration fields that pin the
@@ -141,9 +110,8 @@ func (e *Engine) CaptureState() (*checkpoint.Snapshot, error) {
 
 	eng := checkpoint.Component{}
 	eng.PutI64("step", int64(e.stepCount))
-	eng.PutStr("config", e.ConfigFingerprint())
 	eng.PutStr("mesh", e.cfg.Mesh.String())
-	// The split fingerprint plus the raw geometry scalars: what elastic
+	// The fingerprint pair plus the raw geometry scalars: what elastic
 	// resharding validates (trajectory), rewrites (topology, world, batch,
 	// accum) and weights BN statistics by (trainsize → per-rank shard sizes).
 	eng.PutStr("trajectory", e.TrajectoryFingerprint())
@@ -198,52 +166,27 @@ func (e *Engine) errPoisoned() error {
 }
 
 // validateFingerprint checks the snapshot's configuration against the
-// engine's before any state is touched. Three snapshot generations exist:
-// legacy (single "config" string — full bit-for-bit equality), split
-// ("trajectory" + "topology" — both must match, with a friendlier error when
-// only the world size differs), and elastic-resharded ("elastic" marker —
-// trajectory plus the rewritten geometry must match; the remaining topology
-// fields are free to differ, since resharding already forfeits bit-for-bit
-// continuity).
+// engine's before any state is touched. The trajectory must match; then a
+// plain snapshot must also match the topology fingerprint (bit-for-bit
+// resume), while a resharded one ("elastic" marker) must match the geometry
+// it was rewritten for — its remaining topology fields are free to differ,
+// since resharding already forfeits bit-for-bit continuity.
 func (e *Engine) validateFingerprint(eng checkpoint.Component) error {
-	savedTraj, trajErr := eng.Str("trajectory")
-	if trajErr != nil {
-		// Pre-split snapshot: the single-string comparison it was taken under.
-		savedCfg, err := eng.Str("config")
+	savedTraj, err := eng.Str("trajectory")
+	if err != nil {
+		return err
+	}
+	keys := [3]string{"world", "batch", "accum"}
+	cur := [3]int{e.cfg.World, e.cfg.PerReplicaBatch, e.cfg.GradAccumSteps}
+	var saved [3]int
+	for i, key := range keys {
+		v, err := eng.I64(key)
 		if err != nil {
 			return err
 		}
-		if cur := e.ConfigFingerprint(); savedCfg != cur {
-			return fmt.Errorf("replica: snapshot configuration does not match engine:\n  snapshot: %s\n  engine:   %s", savedCfg, cur)
-		}
-		return nil
+		saved[i] = int(v)
 	}
-
-	if _, elastic := eng["elastic"]; elastic {
-		// A resharded snapshot was rewritten for one specific target
-		// geometry; the engine must be exactly that target. Trajectory
-		// equality includes the preserved global batch.
-		if savedTraj != e.TrajectoryFingerprint() {
-			return fmt.Errorf("replica: resharded snapshot configuration does not match engine (trajectory fields):\n  snapshot: %s\n  engine:   %s", savedTraj, e.TrajectoryFingerprint())
-		}
-		for _, g := range []struct {
-			key string
-			cur int
-		}{
-			{"world", e.cfg.World},
-			{"batch", e.cfg.PerReplicaBatch},
-			{"accum", e.cfg.GradAccumSteps},
-		} {
-			v, err := eng.I64(g.key)
-			if err != nil {
-				return err
-			}
-			if int(v) != g.cur {
-				return fmt.Errorf("replica: snapshot was resharded for %s=%d but the engine runs %s=%d", g.key, v, g.key, g.cur)
-			}
-		}
-		return nil
-	}
+	_, resharded := eng["elastic"]
 
 	// Friendly world-mismatch detection runs before the generic trajectory
 	// diff: a pure data-parallel world change (same model, data, seed — only
@@ -251,25 +194,29 @@ func (e *Engine) validateFingerprint(eng checkpoint.Component) error {
 	// and the escape hatch, not two walls of fingerprint text. Comparing
 	// against trajectoryFP at the *snapshot's* global batch makes the check
 	// insensitive to the batch refactorization a world change implies.
-	savedWorld, worldErr := eng.I64("world")
-	if worldErr == nil && int(savedWorld) != e.cfg.World && e.cfg.Mesh.Model == 1 {
-		b, berr := eng.I64("batch")
-		a, aerr := eng.I64("accum")
-		if berr == nil && aerr == nil && savedTraj == e.trajectoryFP(int(savedWorld*b*a)) {
-			return fmt.Errorf(
-				"replica: snapshot was taken at world %d but the engine runs world %d; a plain resume only restores into an identical topology — resume with elastic resharding (effnettrain -resume -elastic, or elastic.Reshard) to re-partition per-rank state across the new world",
-				savedWorld, e.cfg.World)
-		}
+	if !resharded && saved[0] != cur[0] && e.cfg.Mesh.Model == 1 &&
+		savedTraj == e.trajectoryFP(saved[0]*saved[1]*saved[2]) {
+		return fmt.Errorf(
+			"replica: snapshot was taken at world %d but the engine runs world %d; a plain resume only restores into an identical topology — resume with elastic resharding (effnettrain -resume -elastic, or elastic.Reshard) to re-partition per-rank state across the new world",
+			saved[0], cur[0])
 	}
-	if cur := e.TrajectoryFingerprint(); savedTraj != cur {
-		return fmt.Errorf("replica: snapshot configuration does not match engine:\n  snapshot: %s\n  engine:   %s", savedTraj, cur)
+	if fp := e.TrajectoryFingerprint(); savedTraj != fp {
+		return fmt.Errorf("replica: snapshot configuration does not match engine:\n  snapshot: %s\n  engine:   %s", savedTraj, fp)
+	}
+	if resharded {
+		for i, key := range keys {
+			if saved[i] != cur[i] {
+				return fmt.Errorf("replica: snapshot was resharded for %s=%d but the engine runs %s=%d", key, saved[i], key, cur[i])
+			}
+		}
+		return nil
 	}
 	savedTopo, err := eng.Str("topology")
 	if err != nil {
 		return err
 	}
-	if cur := e.TopologyFingerprint(); savedTopo != cur {
-		return fmt.Errorf("replica: snapshot topology configuration does not match engine (the trajectory is compatible; elastic resharding can adapt the snapshot — effnettrain -resume -elastic, or elastic.Reshard):\n  snapshot: %s\n  engine:   %s", savedTopo, cur)
+	if fp := e.TopologyFingerprint(); savedTopo != fp {
+		return fmt.Errorf("replica: snapshot topology configuration does not match engine (the trajectory is compatible; elastic resharding can adapt the snapshot — effnettrain -resume -elastic, or elastic.Reshard):\n  snapshot: %s\n  engine:   %s", savedTopo, fp)
 	}
 	return nil
 }
@@ -307,18 +254,19 @@ func (e *Engine) RestoreState(snap *checkpoint.Snapshot) error {
 	// layout is involved on either side: re-gridding the same ranks (say a
 	// 2x2 run resumed as 4x1) deserves a message naming the two shapes, not a
 	// wall of fingerprint text. Pure data-parallel world changes (4x1 vs 2x1)
-	// keep the configuration error, and snapshots written before the mesh
-	// existed carry no "mesh" key — those restore only into pure
-	// data-parallel engines, which the fingerprint already enforces.
-	if savedMesh, merr := eng.Str("mesh"); merr == nil {
-		if cur := e.cfg.Mesh.String(); savedMesh != cur {
-			saved, perr := mesh.ParseShape(savedMesh)
-			if perr == nil && (saved.Model > 1 || e.cfg.Mesh.Model > 1) {
-				return fmt.Errorf(
-					"replica: snapshot was taken on a %s mesh but the engine runs a %s mesh; training state is only portable across identical mesh shapes",
-					savedMesh, cur)
-			}
-		}
+	// keep the configuration error.
+	savedMesh, err := eng.Str("mesh")
+	if err != nil {
+		return err
+	}
+	saved, err := mesh.ParseShape(savedMesh)
+	if err != nil {
+		return fmt.Errorf("replica: snapshot %w", err)
+	}
+	if saved != e.cfg.Mesh && (saved.Model > 1 || e.cfg.Mesh.Model > 1) {
+		return fmt.Errorf(
+			"replica: snapshot was taken on a %s mesh but the engine runs a %s mesh; training state is only portable across identical mesh shapes",
+			saved, e.cfg.Mesh)
 	}
 	if err := e.validateFingerprint(eng); err != nil {
 		return err
@@ -331,6 +279,15 @@ func (e *Engine) RestoreState(snap *checkpoint.Snapshot) error {
 		return fmt.Errorf("replica: snapshot step %d is negative", step)
 	}
 
+	// Replicas share one architecture, so rank 0 vouches for the model
+	// component restoring into all of them.
+	mc, err := snap.Component("model")
+	if err != nil {
+		return err
+	}
+	if err := checkpoint.CheckModelState(e.replicas[0].Model, mc); err != nil {
+		return fmt.Errorf("replica: model state: %w", err)
+	}
 	oc, err := snap.Component(optimComponent)
 	if err != nil {
 		return err

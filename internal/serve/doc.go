@@ -16,9 +16,8 @@
 //     tensors (data.BufferPool — allocation-free in steady state).
 //
 //   - ModelProvider abstracts where weights come from. Static pins one
-//     model; Loader boots from a weights-only checkpoint
-//     (checkpoint.LoadWeightsFile) or the newest readable training snapshot
-//     (checkpoint.ReadLatestSnapshot) and then watches the snapshot
+//     model; Loader boots from the "model" component of one snapshot file
+//     or of a directory's newest readable snapshot, and watches the
 //     directory, hot-swapping freshly loaded weights via an atomic pointer.
 //     In-flight batches finish on the model they started with; only
 //     subsequent batches see the swap.

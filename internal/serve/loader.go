@@ -12,15 +12,15 @@ import (
 	"effnetscale/internal/efficientnet"
 )
 
-// LoaderConfig tells a Loader where weights come from.
+// LoaderConfig tells a Loader where weights come from: the "model" component
+// of a snapshot, whatever else the file carries.
 type LoaderConfig struct {
-	// WeightsPath boots from a weights-only checkpoint
-	// (checkpoint.SaveWeightsFile output). Exactly one of WeightsPath and
-	// SnapshotDir must be set.
+	// WeightsPath boots from one snapshot file, not watched. Exactly one of
+	// WeightsPath and SnapshotDir must be set.
 	WeightsPath string
-	// SnapshotDir boots from the newest readable training snapshot in the
-	// directory and then watches it: each time a newer snapshot appears,
-	// its weights are loaded into a fresh model and hot-swapped in.
+	// SnapshotDir boots from the newest readable snapshot in the directory
+	// and then watches it: each time a newer snapshot appears, its weights
+	// are loaded into a fresh model and hot-swapped in.
 	SnapshotDir string
 	// Poll is the snapshot-directory polling interval (only meaningful with
 	// SnapshotDir). Defaults to 2s; < 0 disables watching (boot only).
@@ -43,8 +43,8 @@ type loadedModel struct {
 	path string
 }
 
-// Loader is a ModelProvider that boots from a checkpoint and (optionally)
-// hot-reloads newer training snapshots. The swap is one atomic pointer
+// Loader is a ModelProvider that boots from a snapshot and (optionally)
+// hot-reloads newer ones. The swap is one atomic pointer
 // store: batches dispatched before the swap finish on the model they
 // captured, batches after see the new weights — no lock on the serving path.
 type Loader struct {
@@ -58,8 +58,8 @@ type Loader struct {
 }
 
 // NewLoader boots the initial model (deriving the architecture from the
-// checkpoint itself via checkpoint.WeightsInfo / checkpoint.ModelInfo) and,
-// for snapshot directories, starts the watch goroutine.
+// snapshot itself via checkpoint.ModelInfo) and, for snapshot directories,
+// starts the watch goroutine.
 func NewLoader(cfg LoaderConfig) (*Loader, error) {
 	if (cfg.WeightsPath == "") == (cfg.SnapshotDir == "") {
 		return nil, fmt.Errorf("serve: set exactly one of WeightsPath and SnapshotDir")
@@ -72,13 +72,11 @@ func NewLoader(cfg LoaderConfig) (*Loader, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	var lm *loadedModel
-	var err error
+	path := cfg.SnapshotDir
 	if cfg.WeightsPath != "" {
-		lm, err = loadWeightsModel(cfg.WeightsPath)
-	} else {
-		lm, err = loadLatestSnapshotModel(cfg.SnapshotDir)
+		path = cfg.WeightsPath
 	}
+	lm, err := loadModel(path)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +129,7 @@ func (l *Loader) watch() {
 		if newest == l.cur.Load().path {
 			continue
 		}
-		lm, err := loadSnapshotModel(newest)
+		lm, err := loadModel(newest)
 		if err != nil {
 			l.reportError(fmt.Errorf("serve: hot reload %s: %w", newest, err))
 			continue
@@ -161,42 +159,13 @@ func newModelFor(family string, classes, resolution int) (*efficientnet.Model, e
 	return efficientnet.New(rand.New(rand.NewSource(1)), cfg), nil
 }
 
-// loadWeightsModel boots from a weights-only checkpoint file.
-func loadWeightsModel(path string) (*loadedModel, error) {
-	family, classes, res, err := checkpoint.WeightsInfo(path)
+// loadModel restores the model component of the snapshot path names (a file,
+// or a directory's newest readable snapshot) into a fresh model.
+func loadModel(path string) (*loadedModel, error) {
+	s, src, err := checkpoint.ReadSnapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newModelFor(family, classes, res)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkpoint.LoadWeightsFile(path, m); err != nil {
-		return nil, err
-	}
-	return &loadedModel{m: m, tag: filepath.Base(path), path: path}, nil
-}
-
-// loadSnapshotModel restores the model component of one training snapshot
-// into a fresh model.
-func loadSnapshotModel(path string) (*loadedModel, error) {
-	s, err := checkpoint.ReadSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return snapshotModel(s, path)
-}
-
-// loadLatestSnapshotModel boots from the newest readable snapshot in dir.
-func loadLatestSnapshotModel(dir string) (*loadedModel, error) {
-	s, path, err := checkpoint.ReadLatestSnapshot(dir)
-	if err != nil {
-		return nil, err
-	}
-	return snapshotModel(s, path)
-}
-
-func snapshotModel(s *checkpoint.Snapshot, path string) (*loadedModel, error) {
 	family, classes, res, err := checkpoint.ModelInfo(s)
 	if err != nil {
 		return nil, err
@@ -208,5 +177,5 @@ func snapshotModel(s *checkpoint.Snapshot, path string) (*loadedModel, error) {
 	if err := s.Restore(checkpoint.ModelState(m)); err != nil {
 		return nil, err
 	}
-	return &loadedModel{m: m, tag: filepath.Base(path), path: path}, nil
+	return &loadedModel{m: m, tag: filepath.Base(src), path: src}, nil
 }

@@ -56,22 +56,20 @@ func sameLogits(a, b []float32) bool {
 	return true
 }
 
-// TestLoaderBootsFromWeightsFile: the loader must reconstruct the
-// architecture from the checkpoint alone and serve the saved weights.
-func TestLoaderBootsFromWeightsFile(t *testing.T) {
+// TestLoaderBootsFromSnapshotFile: given a single model-only snapshot file,
+// the loader must reconstruct the architecture from the file alone and serve
+// the saved weights.
+func TestLoaderBootsFromSnapshotFile(t *testing.T) {
 	m := testModel(t, 5, 4, 16)
-	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := checkpoint.SaveWeightsFile(path, m); err != nil {
-		t.Fatal(err)
-	}
+	path := writeSnapshot(t, t.TempDir(), 7, m)
 	l, err := NewLoader(LoaderConfig{WeightsPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	lm, tag := l.Current()
-	if tag != "model.ckpt" {
-		t.Errorf("tag %q, want model.ckpt", tag)
+	if tag != filepath.Base(path) {
+		t.Errorf("tag %q, want %s", tag, filepath.Base(path))
 	}
 	if lm.Config.Name != "pico" || lm.Config.NumClasses != 4 || lm.Config.Resolution != 16 {
 		t.Errorf("loaded %s/%d/%d, want pico/4/16", lm.Config.Name, lm.Config.NumClasses, lm.Config.Resolution)

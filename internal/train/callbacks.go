@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 
-	"effnetscale/internal/checkpoint"
 	"effnetscale/internal/replica"
 )
 
@@ -75,11 +74,11 @@ func Progress(emit func(string)) Callback {
 	}
 }
 
-// BestCheckpoint saves replica 0's model to path (atomic, fsynced,
-// weights-only) after every evaluation that improves on the best accuracy
-// seen so far. Failures are reported through Session.NotifyCheckpoint —
-// they reach Result.CheckpointErrors and every callback's OnCheckpoint —
-// but never abort training.
+// BestCheckpoint saves replica 0's model to path (Session.SaveCheckpoint)
+// after every evaluation that improves on the best accuracy seen so far.
+// Failures are reported through Session.NotifyCheckpoint — they reach
+// Result.CheckpointErrors and every callback's OnCheckpoint — but never
+// abort training.
 func BestCheckpoint(path string) Callback {
 	best := 0.0
 	return Funcs{
@@ -95,7 +94,7 @@ func BestCheckpoint(path string) Callback {
 				return
 			}
 			best = pt.Accuracy
-			s.NotifyCheckpoint(path, checkpoint.SaveWeightsFile(path, s.Engine().Replica(0).Model))
+			s.NotifyCheckpoint(path, s.SaveCheckpoint(path))
 		},
 	}
 }

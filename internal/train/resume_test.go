@@ -243,14 +243,14 @@ func TestResumeValidationErrors(t *testing.T) {
 	if _, err := New(resumeOpts(WithSnapshotEvery(2))...); err == nil || !strings.Contains(err.Error(), "WithSnapshotDir") {
 		t.Fatalf("snapshot-every without dir = %v, want WithSnapshotDir error", err)
 	}
-	// A weights-only checkpoint is not a resumable snapshot.
+	// A model-only checkpoint is not a resumable snapshot.
 	wpath := filepath.Join(t.TempDir(), "weights.ckpt")
 	if err := a.SaveCheckpoint(wpath); err != nil {
 		t.Fatal(err)
 	}
 	_, err = New(resumeOpts(WithResume(wpath))...)
-	if err == nil || !strings.Contains(err.Error(), "LoadWeights") {
-		t.Fatalf("resume from weights-only checkpoint = %v, want pointer to LoadWeights", err)
+	if err == nil || !strings.Contains(err.Error(), `no "engine" component (has [model])`) {
+		t.Fatalf("resume from model-only checkpoint = %v, want missing-engine error", err)
 	}
 }
 

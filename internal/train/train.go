@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"effnetscale/internal/checkpoint"
@@ -120,7 +119,7 @@ func New(opts ...Option) (*Session, error) {
 		if msh.Model > 1 {
 			return nil, fmt.Errorf("train: elastic resume only re-partitions the data axis; the %s mesh has a model axis", msh)
 		}
-		snap, src, err := loadSnapshot(c.resume)
+		snap, src, err := checkpoint.ReadSnapshotPath(c.resume)
 		if err != nil {
 			return nil, fmt.Errorf("train: resume: %w", err)
 		}
@@ -197,20 +196,10 @@ func New(opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// loadSnapshot reads a snapshot from a file, or from a directory the newest
-// readable one (falling back past files a crash truncated mid-write).
-func loadSnapshot(path string) (snap *checkpoint.Snapshot, src string, err error) {
-	if info, statErr := os.Stat(path); statErr == nil && info.IsDir() {
-		return checkpoint.ReadLatestSnapshot(path)
-	}
-	snap, err = checkpoint.ReadSnapshotFile(path)
-	return snap, path, err
-}
-
 // restoreFrom loads a snapshot (a file, or the newest readable one in a
 // directory) and restores the engine and session progress from it.
 func (s *Session) restoreFrom(path string) error {
-	snap, src, err := loadSnapshot(path)
+	snap, src, err := checkpoint.ReadSnapshotPath(path)
 	if err != nil {
 		return fmt.Errorf("train: resume: %w", err)
 	}
@@ -336,24 +325,36 @@ func (s *Session) NotifyCheckpoint(path string, err error) {
 	}
 }
 
-// LoadCheckpoint restores a saved weights-only checkpoint into every
-// replica, so training starts from those weights with the replicas bitwise
-// in sync. It restores weights only — optimizer slots, EMA, RNG streams and
-// the loop position start fresh; use WithResume for bit-for-bit
-// continuation of an interrupted run.
+// LoadCheckpoint restores the "model" component of a snapshot — a
+// SaveCheckpoint file, or any full training snapshot — into every replica,
+// so training starts from those weights with the replicas bitwise in sync.
+// It restores weights only — optimizer slots, EMA, RNG streams and the loop
+// position start fresh; use WithResume for bit-for-bit continuation of an
+// interrupted run.
 func (s *Session) LoadCheckpoint(path string) error {
+	snap, src, err := checkpoint.ReadSnapshotPath(path)
+	if err != nil {
+		return fmt.Errorf("train: load checkpoint: %w", err)
+	}
 	for r := 0; r < s.eng.World(); r++ {
-		if err := checkpoint.LoadWeightsFile(path, s.eng.Replica(r).Model); err != nil {
-			return fmt.Errorf("train: load checkpoint: %w", err)
+		// The codec validates before it writes and replicas share one
+		// architecture, so a rejection happens at rank 0 with nothing changed.
+		if err := snap.Restore(checkpoint.ModelState(s.eng.Replica(r).Model)); err != nil {
+			return fmt.Errorf("train: load checkpoint %s: %w", src, err)
 		}
 	}
 	return nil
 }
 
-// SaveCheckpoint writes replica 0's model to path in the weights-only
-// serving format (atomic, fsynced write).
+// SaveCheckpoint writes replica 0's model to path as a model-only snapshot
+// (atomic, fsynced write) — the file serving and LoadCheckpoint read.
 func (s *Session) SaveCheckpoint(path string) error {
-	if err := checkpoint.SaveWeightsFile(path, s.eng.Replica(0).Model); err != nil {
+	snap := checkpoint.NewSnapshot()
+	err := snap.Capture(checkpoint.ModelState(s.eng.Replica(0).Model))
+	if err == nil {
+		err = checkpoint.WriteSnapshotFile(path, snap)
+	}
+	if err != nil {
 		return fmt.Errorf("train: save checkpoint: %w", err)
 	}
 	return nil

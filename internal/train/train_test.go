@@ -3,6 +3,7 @@ package train
 import (
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -297,8 +298,81 @@ func TestBestCheckpointSaving(t *testing.T) {
 	cfg, _ := efficientnet.ConfigByName("pico", 4)
 	cfg.Resolution = 16
 	fresh := efficientnet.New(rand.New(rand.NewSource(123)), cfg)
-	if err := checkpoint.LoadWeightsFile(path, fresh); err != nil {
+	snap, err := checkpoint.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("best checkpoint unreadable: %v", err)
+	}
+	if err := snap.Restore(checkpoint.ModelState(fresh)); err != nil {
 		t.Fatalf("best checkpoint unloadable: %v", err)
+	}
+}
+
+// TestLoadCheckpoint: LoadCheckpoint restores the model component of any
+// snapshot — SaveCheckpoint's model-only file or a full training snapshot —
+// into every replica, and a rejected file leaves every replica as it was.
+func TestLoadCheckpoint(t *testing.T) {
+	src, err := New(miniOpts(2, 8, 2, WithEpochs(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if _, err := src.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	modelOnly, full := filepath.Join(dir, "model.ckpt"), filepath.Join(dir, "step-000000001.ckpt")
+	if err := src.SaveCheckpoint(modelOnly); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Snapshot(full); err != nil {
+		t.Fatal(err)
+	}
+	want := src.Engine().Replica(0).Model.Params()
+
+	for _, path := range []string{modelOnly, full, dir} {
+		dst, err := New(miniOpts(2, 8, 2, WithEpochs(1), WithSeed(99))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.LoadCheckpoint(path); err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
+		for r := 0; r < dst.Engine().World(); r++ {
+			for i, p := range dst.Engine().Replica(r).Model.Params() {
+				if !reflect.DeepEqual(p.Data().Data(), want[i].Data().Data()) {
+					t.Fatalf("load %s: replica %d param %s differs from the saved model", path, r, p.Name)
+				}
+			}
+		}
+		dst.Close()
+	}
+
+	// A snapshot whose model component carries a parameter the architecture
+	// lacks is rejected before anything is written: replicas stay in sync
+	// and keep the weights they had.
+	snap, err := checkpoint.ReadSnapshotFile(modelOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Components["model"].PutF32("param/ghost.w", []int{2}, []float32{1, 2})
+	bad := filepath.Join(dir, "bad.ckpt")
+	if err := checkpoint.WriteSnapshotFile(bad, snap); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(miniOpts(2, 8, 2, WithEpochs(1), WithSeed(99))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	before := append([]float32(nil), dst.Engine().Replica(0).Model.Params()[0].Data().Data()...)
+	if err := dst.LoadCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "ghost.w") {
+		t.Fatalf("load of surplus-parameter checkpoint = %v, want error naming ghost.w", err)
+	}
+	if d := dst.Engine().WeightsInSync(); d != "" {
+		t.Fatalf("replicas out of sync after a rejected load: %s", d)
+	}
+	if !reflect.DeepEqual(before, dst.Engine().Replica(0).Model.Params()[0].Data().Data()) {
+		t.Fatal("rejected load overwrote replica 0's weights")
 	}
 }
 
