@@ -700,6 +700,7 @@ func BenchmarkStep(b *testing.B) {
 			}
 			defer eng.Close()
 			eng.Step() // warm pipelines and pools off the clock
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Step()

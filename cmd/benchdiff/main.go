@@ -15,7 +15,11 @@
 // cancels out, while any benchmark that regressed *relative to the others*
 // sticks out. A normalized ratio above the tolerance (default 15%) fails.
 // allocs/op needs no normalization and is compared strictly: any increase
-// over baseline fails.
+// over a zero baseline fails (the kernels' 0 allocs/op contract). A whole
+// training step allocates thousands of objects and that count wobbles by one
+// or two from run to run (sync.Pool refills, goroutine start-up), so a
+// non-zero baseline may be exceeded by 0.5% — far below what re-introducing
+// one allocation per layer costs.
 //
 // The tradeoff is deliberate: a change that slows every benchmark by the
 // same factor is invisible to the normalized check (indistinguishable from
@@ -175,7 +179,7 @@ func compare(base, got map[string]entry, tolerance float64) (failed bool) {
 			failed = true
 		}
 		allocs := fmt.Sprintf("%d", g.AllocsPerOp)
-		if g.AllocsPerOp > b.AllocsPerOp {
+		if g.AllocsPerOp > b.AllocsPerOp+b.AllocsPerOp/200 {
 			allocs = fmt.Sprintf("%d (base %d)  ALLOC REGRESSION", g.AllocsPerOp, b.AllocsPerOp)
 			failed = true
 		}

@@ -133,6 +133,22 @@ func (v *Value) Accumulate(g *tensor.Tensor) {
 	tensor.AddInto(v.Grad, g)
 }
 
+// AccumulateOwned is Accumulate for a gradient the caller allocated for this
+// one call and will never read, write or hand to anyone else again: a first
+// contribution adopts g itself as v's gradient instead of cloning it (the
+// same bits, one allocation and one copy fewer per activation). Later
+// contributions add into the adopted tensor, which is why the caller must
+// let go of it. Ops that forward their own incoming gradient (Add, Reshape,
+// AddChannel, ...) must keep using Accumulate: that tensor belongs to the
+// node it was accumulated for.
+func (v *Value) AccumulateOwned(g *tensor.Tensor) {
+	if v.requiresGrad && v.Grad == nil {
+		v.Grad = g
+		return
+	}
+	v.Accumulate(g)
+}
+
 // Backward computes gradients of v (which must be a scalar: one element)
 // with respect to every reachable Value that requires gradients. Callers
 // that need grad-ready hooks or want the traversal arenas reused across
@@ -384,10 +400,10 @@ func MulChannelNC(x, s *Value) *Value {
 	out := tensor.MulChannelNC(x.T, s.T)
 	return NewOp("mulchannelnc", out, []*Value{x, s}, func(g *tensor.Tensor) {
 		if x.requiresGrad {
-			x.Accumulate(tensor.MulChannelNC(g, s.T))
+			x.AccumulateOwned(tensor.MulChannelNC(g, s.T))
 		}
 		if s.requiresGrad {
-			s.Accumulate(tensor.SumChannelNC(tensor.Mul(g, x.T)))
+			s.AccumulateOwned(tensor.SumChannelNC(tensor.Mul(g, x.T)))
 		}
 	})
 }
@@ -409,7 +425,7 @@ func GlobalAvgPool(x *Value) *Value {
 				dx.Data()[base+i] = gv
 			}
 		}
-		x.Accumulate(dx)
+		x.AccumulateOwned(dx)
 	})
 }
 

@@ -21,9 +21,19 @@
 // once per Backward. Value.BindGrad complements the hook: it pins a leaf's
 // gradient to caller-owned storage (the engine's flattened reduction
 // buffer), turning the first Accumulate into an in-place overwrite — no
-// Clone, no per-step allocation, bit-for-bit the same result. The Tape also
-// reuses its traversal arenas (order slice, DFS stack; visited marks are
-// pass stamps on the nodes themselves) across steps.
+// Clone, no per-step allocation, bit-for-bit the same result. Activation
+// gradients get the same treatment through Value.AccumulateOwned: an op that
+// built its input gradient in a tensor of its own (Swish, Sigmoid, the
+// convolutions, batch norm, pooling, channel scaling) hands that tensor over
+// instead of having it cloned, and must not touch it again; ops that forward
+// the gradient they received keep Accumulate. The Tape also reuses its
+// traversal arenas (order slice, DFS stack; visited marks are pass stamps on
+// the nodes themselves) across steps.
+//
+// Swish and Sigmoid — forward and Swish's backward — run tensor's
+// element-wise kernels (tensor.SwishInto and friends), the same ones the
+// tape-free inference path in package nn calls: one sigmoid in the repo, so
+// tape and tape-free activations agree bit for bit by construction.
 //
 // Paper: the backward passes here produce the per-replica gradients whose
 // all-reduce is the subject of the paper's communication analysis (§3.4,

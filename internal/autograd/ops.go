@@ -9,13 +9,11 @@ import (
 
 // --- Activations -----------------------------------------------------------
 
-func sigmoid(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-// Sigmoid applies the logistic function element-wise.
+// Sigmoid applies the logistic function element-wise (tensor.SigmoidInto,
+// the one sigmoid in the repo).
 func Sigmoid(a *Value) *Value {
-	out := tensor.Apply(a.T, sigmoid)
+	out := tensor.New(a.T.Shape()...)
+	tensor.SigmoidInto(out.Data(), a.T.Data())
 	return NewOp("sigmoid", out, []*Value{a}, func(g *tensor.Tensor) {
 		dx := tensor.New(out.Shape()...)
 		od, gd, dd := out.Data(), g.Data(), dx.Data()
@@ -23,30 +21,21 @@ func Sigmoid(a *Value) *Value {
 			s := od[i]
 			dd[i] = gd[i] * s * (1 - s)
 		}
-		a.Accumulate(dx)
+		a.AccumulateOwned(dx)
 	})
 }
 
-// Swish applies x*sigmoid(x) (SiLU), EfficientNet's activation.
+// Swish applies x*sigmoid(x) (SiLU), EfficientNet's activation. The forward
+// keeps σ(x) for the backward's d/dx [x·σ(x)] = σ(x)(1 + x(1−σ(x))).
 func Swish(a *Value) *Value {
 	in := a.T.Data()
 	out := tensor.New(a.T.Shape()...)
 	sig := make([]float32, len(in))
-	for i, x := range in {
-		s := sigmoid(x)
-		sig[i] = s
-		out.Data()[i] = x * s
-	}
+	tensor.SwishInto(out.Data(), sig, in)
 	return NewOp("swish", out, []*Value{a}, func(g *tensor.Tensor) {
 		dx := tensor.New(out.Shape()...)
-		gd, dd := g.Data(), dx.Data()
-		for i := range dd {
-			s := sig[i]
-			x := in[i]
-			// d/dx [x·σ(x)] = σ(x) + x·σ(x)(1−σ(x)) = σ(x)(1 + x(1−σ(x)))
-			dd[i] = gd[i] * s * (1 + x*(1-s))
-		}
-		a.Accumulate(dx)
+		tensor.SwishBackwardInto(dx.Data(), g.Data(), sig, in)
+		a.AccumulateOwned(dx)
 	})
 }
 
@@ -95,8 +84,16 @@ func Conv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Sc
 	out := tensor.Conv2DScratch(xc, wc, spec, sc)
 	return NewOp("conv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
 		gc := maybeBF16(g, policy.ConvBF16)
+		if !x.requiresGrad {
+			// The stem conv over a Constant batch of images: nobody reads
+			// dx, so skip the Wᵀ@dy GEMM and col2im that would build it.
+			dw := tensor.New(wc.Shape()...)
+			tensor.Conv2DBackwardInto(nil, dw, xc, wc, gc, spec, sc)
+			w.Accumulate(dw)
+			return
+		}
 		dx, dw := tensor.Conv2DBackwardScratch(xc, wc, gc, spec, sc)
-		x.Accumulate(dx)
+		x.AccumulateOwned(dx)
 		w.Accumulate(dw)
 	})
 }
@@ -109,8 +106,14 @@ func DepthwiseConv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy) *Val
 	out := tensor.DepthwiseConv2D(xc, wc, spec)
 	return NewOp("dwconv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
 		gc := maybeBF16(g, policy.ConvBF16)
+		if !x.requiresGrad {
+			dw := tensor.New(wc.Shape()...)
+			tensor.DepthwiseConv2DBackwardInto(nil, dw, xc, wc, gc, spec)
+			w.Accumulate(dw)
+			return
+		}
 		dx, dw := tensor.DepthwiseConv2DBackward(xc, wc, gc, spec)
-		x.Accumulate(dx)
+		x.AccumulateOwned(dx)
 		w.Accumulate(dw)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"effnetscale/internal/bf16"
 	"effnetscale/internal/tensor"
 )
 
@@ -197,5 +198,91 @@ func TestTapeBackwardMatchesValueBackward(t *testing.T) {
 		if a.Grad.Data()[i] != b.Grad.Data()[i] {
 			t.Fatalf("grad[%d]: Value.Backward %v vs Tape.Backward %v", i, a.Grad.Data()[i], b.Grad.Data()[i])
 		}
+	}
+}
+
+// TestAccumulateOwnedAdoptsThenAdds pins the ownership-transfer contract: a
+// first contribution is adopted (no clone), a later one adds into the adopted
+// tensor and leaves its own argument and every sibling's gradient alone, and
+// a bound gradient still copies into its pinned storage.
+func TestAccumulateOwnedAdoptsThenAdds(t *testing.T) {
+	vec := func(vs ...float32) *tensor.Tensor { return tensor.FromSlice(vs, len(vs)) }
+	x := Leaf(tensor.New(3), true)
+	sibling := Leaf(tensor.New(3), true)
+
+	first, sib, second := vec(1, 2, 3), vec(10, 20, 30), vec(100, 200, 300)
+	x.AccumulateOwned(first)
+	sibling.AccumulateOwned(sib)
+	if x.Grad != first || sibling.Grad != sib {
+		t.Fatalf("first contributions were not adopted")
+	}
+	x.AccumulateOwned(second)
+	for i, want := range []float32{101, 202, 303} {
+		if x.Grad.Data()[i] != want {
+			t.Fatalf("x.Grad[%d] = %v, want %v", i, x.Grad.Data()[i], want)
+		}
+	}
+	if x.Grad != first {
+		t.Fatalf("second contribution replaced the adopted gradient")
+	}
+	if second.Data()[0] != 100 || sib.Data()[0] != 10 {
+		t.Fatalf("a later contribution was mutated: second=%v sibling=%v", second.Data(), sib.Data())
+	}
+
+	Constant(tensor.New(3)).AccumulateOwned(vec(1, 1, 1)) // no gradient wanted: a no-op
+
+	bound := Leaf(tensor.New(3), true)
+	buf := make([]float32, 3)
+	bound.BindGrad(tensor.FromSlice(buf, 3))
+	g := vec(7, 8, 9)
+	bound.AccumulateOwned(g)
+	if &bound.Grad.Data()[0] != &buf[0] || buf[2] != 9 {
+		t.Fatalf("bound gradient must copy into its pinned storage, got %v", buf)
+	}
+}
+
+// TestOwnedGradientsAreNeverShared runs a residual squeeze-excite block —
+// every op that hands its gradient over with AccumulateOwned, fed by
+// activations that collect two contributions — and checks that after
+// Backward no two nodes hold the same gradient storage, and that the
+// gradients still match finite differences (a tensor adopted twice, or
+// mutated after adoption, would corrupt them).
+func TestOwnedGradientsAreNeverShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	x := Leaf(tensor.Randn(rng, 1, 2, 3, 4, 4), true)
+	w1 := Leaf(tensor.Randn(rng, 0.5, 3, 3, 1, 1), true)
+	wd := Leaf(tensor.Randn(rng, 0.5, 3, 1, 3, 3), true)
+	gate := Leaf(tensor.Randn(rng, 1, 3, 3), true)
+	pw := tensor.ConvSpec{StrideH: 1, StrideW: 1}
+	dw := tensor.ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	loss := func() *Value {
+		h := Swish(Conv2D(x, w1, pw, bf16.FP32Policy, nil))
+		h = Swish(DepthwiseConv2D(h, wd, dw, bf16.FP32Policy))
+		s := Sigmoid(MatMul(GlobalAvgPool(h), gate)) // h feeds the squeeze ...
+		h = MulChannelNC(h, s)                       // ... and the excite
+		return Mean(Add(Reshape(h, 2, 3, 4, 4), x))  // x feeds the block and the skip
+	}
+	params := []*Value{x, w1, wd, gate}
+	gradCheck(t, "residual SE block", params, loss, 5e-3)
+
+	for _, p := range params {
+		p.ZeroGrad()
+	}
+	root := loss()
+	var tape Tape
+	tape.Backward(root)
+	owner := map[*float32]*Value{}
+	for _, n := range tape.order {
+		if n.Grad == nil {
+			continue
+		}
+		key := &n.Grad.Data()[0]
+		if prev, dup := owner[key]; dup {
+			t.Fatalf("%s and %s share one gradient tensor", prev.Op(), n.Op())
+		}
+		owner[key] = n
+	}
+	if len(owner) < 10 {
+		t.Fatalf("walked only %d gradients; the graph should hold more", len(owner))
 	}
 }

@@ -115,18 +115,13 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 	// Normalize and cache xhat for backward.
 	xhat := tensor.New(x.T.Shape()...)
 	out := tensor.New(x.T.Shape()...)
+	xhd, od := xhat.Data(), out.Data()
 	gd := l.Gamma.Value.T.Data()
 	bd := l.Beta.Value.T.Data()
 	for nc := 0; nc < n*c; nc++ {
 		ch := nc % c
-		mu, is := float32(mean[ch]), float32(invstd[ch])
-		g, b := gd[ch], bd[ch]
-		base := nc * hw
-		for i := 0; i < hw; i++ {
-			xh := (xd[base+i] - mu) * is
-			xhat.Data()[base+i] = xh
-			out.Data()[base+i] = g*xh + b
-		}
+		lo, hi := nc*hw, (nc+1)*hw
+		tensor.BNNormalizeInto(od[lo:hi], xhd[lo:hi], xd[lo:hi], float32(mean[ch]), float32(invstd[ch]), gd[ch], bd[ch])
 	}
 
 	gamma, beta := l.Gamma.Value, l.Beta.Value
@@ -145,7 +140,7 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 			for i := 0; i < hw; i++ {
 				g := float64(dyd[base+i])
 				a += g
-				b += g * float64(xhat.Data()[base+i])
+				b += g * float64(xhd[base+i])
 			}
 			s1[ch] += a
 			s2[ch] += b
@@ -164,37 +159,43 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 			// dy*xhat — a second reduction per §3.4's communication cost.
 			reducer.ReduceStats(float64(n*hw), s1, s2)
 			dx := tensor.New(x.T.Shape()...)
+			dxd := dx.Data()
 			for nc := 0; nc < n*c; nc++ {
 				ch := nc % c
-				k := gd[ch] * float32(invstd[ch])
-				m1 := float32(s1[ch] / m)
-				m2 := float32(s2[ch] / m)
-				base := nc * hw
-				for i := 0; i < hw; i++ {
-					dx.Data()[base+i] = k * (dyd[base+i] - m1 - xhat.Data()[base+i]*m2)
-				}
+				lo, hi := nc*hw, (nc+1)*hw
+				tensor.BNBackwardInto(dxd[lo:hi], dyd[lo:hi], xhd[lo:hi],
+					gd[ch]*float32(invstd[ch]), float32(s1[ch]/m), float32(s2[ch]/m))
 			}
-			x.Accumulate(dx)
+			x.AccumulateOwned(dx)
 		}
 	})
+}
+
+// runningInvStd is channel ch's inference-time 1/sqrt(var+eps).
+func (l *BatchNorm) runningInvStd(ch int) float32 {
+	return float32(1 / math.Sqrt(float64(l.RunningVar.Data()[ch])+l.Eps))
+}
+
+// applyRunning normalizes x [n, c, hw] with the running statistics into out.
+// Channels run in the outer loop so each one's scalars are computed once per
+// call, with no per-call slice to hold them.
+func (l *BatchNorm) applyRunning(out, x []float32, n, hw int) {
+	gd, bd := l.Gamma.Value.T.Data(), l.Beta.Value.T.Data()
+	mu := l.RunningMean.Data()
+	for ch := 0; ch < l.c; ch++ {
+		is := l.runningInvStd(ch)
+		for s := 0; s < n; s++ {
+			lo := (s*l.c + ch) * hw
+			tensor.BNInferInto(out[lo:lo+hw], x[lo:lo+hw], mu[ch], is, gd[ch], bd[ch])
+		}
+	}
 }
 
 func (l *BatchNorm) evalForward(x *autograd.Value, n, c, h, w int) *autograd.Value {
 	hw := h * w
 	out := tensor.New(x.T.Shape()...)
 	xd := x.T.Data()
-	gd := l.Gamma.Value.T.Data()
-	bd := l.Beta.Value.T.Data()
-	for nc := 0; nc < n*c; nc++ {
-		ch := nc % c
-		is := float32(1 / math.Sqrt(float64(l.RunningVar.Data()[ch])+l.Eps))
-		mu := l.RunningMean.Data()[ch]
-		g, b := gd[ch], bd[ch]
-		base := nc * hw
-		for i := 0; i < hw; i++ {
-			out.Data()[base+i] = g*(xd[base+i]-mu)*is + b
-		}
-	}
+	l.applyRunning(out.Data(), xd, n, hw)
 	gamma, beta := l.Gamma.Value, l.Beta.Value
 	// Inference backward (rarely needed, but keeps eval-mode fine-tuning
 	// possible): y = gamma*(x-mu)*is + b with constant statistics.
@@ -203,20 +204,23 @@ func (l *BatchNorm) evalForward(x *autograd.Value, n, c, h, w int) *autograd.Val
 		dgamma := tensor.New(c)
 		dbeta := tensor.New(c)
 		dx := tensor.New(x.T.Shape()...)
-		for nc := 0; nc < n*c; nc++ {
-			ch := nc % c
-			is := float32(1 / math.Sqrt(float64(l.RunningVar.Data()[ch])+l.Eps))
+		dgd, dbd, dxd := dgamma.Data(), dbeta.Data(), dx.Data()
+		gd := gamma.T.Data()
+		for ch := 0; ch < c; ch++ {
+			is := l.runningInvStd(ch)
 			mu := l.RunningMean.Data()[ch]
-			base := nc * hw
-			for i := 0; i < hw; i++ {
-				xh := (xd[base+i] - mu) * is
-				dgamma.Data()[ch] += dyd[base+i] * xh
-				dbeta.Data()[ch] += dyd[base+i]
-				dx.Data()[base+i] = dyd[base+i] * gd[ch] * is
+			for s := 0; s < n; s++ {
+				base := (s*c + ch) * hw
+				for i := base; i < base+hw; i++ {
+					xh := (xd[i] - mu) * is
+					dgd[ch] += dyd[i] * xh
+					dbd[ch] += dyd[i]
+					dxd[i] = dyd[i] * gd[ch] * is
+				}
 			}
 		}
 		gamma.Accumulate(dgamma)
 		beta.Accumulate(dbeta)
-		x.Accumulate(dx)
+		x.AccumulateOwned(dx)
 	})
 }

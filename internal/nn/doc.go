@@ -14,10 +14,11 @@
 // The inference split: every Layer has both Forward (autograd tape, the
 // training path) and Infer (plain tensors, no tape — batch norm reads its
 // running statistics, dropout and drop-connect are identity). The two paths
-// share the same weights and the same math, asserted bit-for-bit against
-// Forward-with-Training=false by the parity tests; Infer exists so
-// evaluation and serving pay no tape allocations. New layers must implement
-// both methods or the compiler rejects them.
+// share the same weights and the same math — activations and batch norm's
+// apply passes run the same tensor element-wise kernels on both — asserted
+// bit-for-bit against Forward-with-Training=false by the parity tests; Infer
+// exists so evaluation and serving pay no tape allocations. New layers must
+// implement both methods or the compiler rejects them.
 //
 // Paper: §3.4 — distributed batch normalization over replica groups, the
 // accuracy-critical ingredient for very large global batches.

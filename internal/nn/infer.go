@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"effnetscale/internal/bf16"
 	"effnetscale/internal/tensor"
@@ -36,23 +35,19 @@ func roundBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
 	return r
 }
 
-// sigmoid32 matches the tape path's sigmoid exactly (same float64 round trip).
-func sigmoid32(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-// SigmoidTensor applies the logistic function element-wise, tape-free.
+// SigmoidTensor applies the logistic function element-wise, tape-free: the
+// same tensor.SigmoidInto kernel the tape's Sigmoid runs.
 func SigmoidTensor(t *tensor.Tensor) *tensor.Tensor {
-	return tensor.Apply(t, sigmoid32)
+	out := tensor.New(t.Shape()...)
+	tensor.SigmoidInto(out.Data(), t.Data())
+	return out
 }
 
-// SwishTensor applies x·σ(x) element-wise, tape-free.
+// SwishTensor applies x·σ(x) element-wise, tape-free: the tape's Swish
+// kernel with no σ(x) kept for a backward pass.
 func SwishTensor(t *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(t.Shape()...)
-	in, od := t.Data(), out.Data()
-	for i, x := range in {
-		od[i] = x * sigmoid32(x)
-	}
+	tensor.SwishInto(out.Data(), nil, t.Data())
 	return out
 }
 
@@ -94,34 +89,16 @@ func (l *Dense) Infer(_ bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferer: running-statistics normalization, with the
-// per-channel mean and inverse stddev hoisted out of the spatial loop (the
-// tape's eval forward recomputes the sqrt per (sample, channel) pair; the
-// values — and therefore the output bits — are identical).
+// Infer implements Inferer: running-statistics normalization through the same
+// per-row kernel, with the same per-channel scalars, as the tape's eval
+// forward.
 func (l *BatchNorm) Infer(_ bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim4()
 	if c != l.c {
 		panic(fmt.Sprintf("nn: BatchNorm built for %d channels, got %d", l.c, c))
 	}
-	hw := h * w
 	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	gd := l.Gamma.Value.T.Data()
-	bd := l.Beta.Value.T.Data()
-	mu := l.RunningMean.Data()
-	invstd := make([]float32, c)
-	for ch := 0; ch < c; ch++ {
-		invstd[ch] = float32(1 / math.Sqrt(float64(l.RunningVar.Data()[ch])+l.Eps))
-	}
-	for nc := 0; nc < n*c; nc++ {
-		ch := nc % c
-		is, m := invstd[ch], mu[ch]
-		g, b := gd[ch], bd[ch]
-		base := nc * hw
-		for i := 0; i < hw; i++ {
-			od[base+i] = g*(xd[base+i]-m)*is + b
-		}
-	}
+	l.applyRunning(out.Data(), x.Data(), n, h*w)
 	return out
 }
 

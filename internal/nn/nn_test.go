@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"effnetscale/internal/autograd"
+	"effnetscale/internal/bf16"
 	"effnetscale/internal/tensor"
 )
 
@@ -286,5 +287,126 @@ func TestSwishLayerMatchesFunction(t *testing.T) {
 		if a.T.Data()[i] != b.T.Data()[i] {
 			t.Fatal("SwishLayer must match autograd.Swish")
 		}
+	}
+}
+
+// bnReference is the scalar batch normalization this package ran before its
+// apply passes moved onto tensor's element-wise kernels, kept as the
+// reference those kernels — and the loops around them — must reproduce bit
+// for bit: the same float64 statistics, then the same float32 expressions
+// element by element (float32(...) around each product bars FMA contraction,
+// as a baseline amd64 build does).
+type bnReference struct {
+	n, c, hw        int
+	gamma, beta     []float32
+	mean, invstd    []float64 // batch statistics (training)
+	rmean, rinvstd  []float32 // running statistics (eval / Infer)
+	xhat, out, eval []float32
+}
+
+func newBNReference(l *BatchNorm, x *tensor.Tensor) *bnReference {
+	n, c, h, w := x.Dim4()
+	hw := h * w
+	xd := x.Data()
+	r := &bnReference{n: n, c: c, hw: hw,
+		gamma: append([]float32(nil), l.Gamma.Data().Data()...),
+		beta:  append([]float32(nil), l.Beta.Data().Data()...),
+		mean:  make([]float64, c), invstd: make([]float64, c),
+		rmean: append([]float32(nil), l.RunningMean.Data()...), rinvstd: make([]float32, c),
+		xhat: make([]float32, len(xd)), out: make([]float32, len(xd)), eval: make([]float32, len(xd)),
+	}
+	sum, sqsum := make([]float64, c), make([]float64, c)
+	for nc := 0; nc < n*c; nc++ {
+		var s, sq float64
+		for _, v := range xd[nc*hw : (nc+1)*hw] {
+			s += float64(v)
+			sq += float64(v) * float64(v)
+		}
+		sum[nc%c] += s
+		sqsum[nc%c] += sq
+	}
+	m := float64(n * hw)
+	for ch := 0; ch < c; ch++ {
+		r.mean[ch] = sum[ch] / m
+		v := sqsum[ch]/m - r.mean[ch]*r.mean[ch]
+		if v < 0 {
+			v = 0
+		}
+		r.invstd[ch] = 1 / math.Sqrt(v+l.Eps)
+		r.rinvstd[ch] = float32(1 / math.Sqrt(float64(l.RunningVar.Data()[ch])+l.Eps))
+	}
+	for nc := 0; nc < n*c; nc++ {
+		ch := nc % c
+		mu, is := float32(r.mean[ch]), float32(r.invstd[ch])
+		for i := nc * hw; i < (nc+1)*hw; i++ {
+			xh := float32((xd[i] - mu) * is)
+			r.xhat[i] = xh
+			r.out[i] = float32(r.gamma[ch]*xh) + r.beta[ch]
+			r.eval[i] = float32(float32(r.gamma[ch]*(xd[i]-r.rmean[ch]))*r.rinvstd[ch]) + r.beta[ch]
+		}
+	}
+	return r
+}
+
+// backward is the training backward's input gradient for upstream dy.
+func (r *bnReference) backward(dy []float32) []float32 {
+	s1, s2 := make([]float64, r.c), make([]float64, r.c)
+	for nc := 0; nc < r.n*r.c; nc++ {
+		var a, b float64
+		for i := nc * r.hw; i < (nc+1)*r.hw; i++ {
+			a += float64(dy[i])
+			b += float64(dy[i]) * float64(r.xhat[i])
+		}
+		s1[nc%r.c] += a
+		s2[nc%r.c] += b
+	}
+	m := float64(r.n * r.hw)
+	dx := make([]float32, len(dy))
+	for nc := 0; nc < r.n*r.c; nc++ {
+		ch := nc % r.c
+		k := r.gamma[ch] * float32(r.invstd[ch])
+		m1, m2 := float32(s1[ch]/m), float32(s2[ch]/m)
+		for i := nc * r.hw; i < (nc+1)*r.hw; i++ {
+			dx[i] = float32(k * (dy[i] - m1 - float32(r.xhat[i]*m2)))
+		}
+	}
+	return dx
+}
+
+// TestBatchNormMatchesScalarReference: moving the normalize, dx and
+// running-statistics passes onto the element-wise kernels (and the eval pass
+// onto a channel-outer loop) changed no output bit, for row lengths that are
+// all tail (4), all vector (16) and mixed (25).
+func TestBatchNormMatchesScalarReference(t *testing.T) {
+	sameBits := func(name string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, reference %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, side := range []int{2, 4, 5} {
+		const n, c = 3, 5
+		bn := NewBatchNorm("bn", c)
+		for ch := 0; ch < c; ch++ {
+			bn.Gamma.Data().Data()[ch] = float32(0.5 + rng.Float64())
+			bn.Beta.Data().Data()[ch] = float32(rng.NormFloat64())
+			bn.RunningMean.Data()[ch] = float32(rng.NormFloat64())
+			bn.RunningVar.Data()[ch] = float32(0.2 + rng.Float64())
+		}
+		xT := tensor.Randn(rng, 2, n, c, side, side)
+		dyT := tensor.Randn(rng, 1, n, c, side, side)
+		ref := newBNReference(bn, xT) // before the training forward moves the running statistics
+
+		sameBits("Infer", bn.Infer(bf16.Policy{}, xT).Data(), ref.eval)
+		sameBits("eval forward", bn.Forward(&Ctx{}, autograd.Constant(xT)).T.Data(), ref.eval)
+
+		x := autograd.Leaf(xT, true)
+		y := bn.Forward(&Ctx{Training: true}, x)
+		sameBits("training forward", y.T.Data(), ref.out)
+		autograd.Sum(autograd.Mul(y, autograd.Constant(dyT))).Backward()
+		sameBits("training dx", x.Grad.Data(), ref.backward(dyT.Data()))
 	}
 }

@@ -152,3 +152,43 @@ func BenchmarkConv(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkElementwise measures the element-wise kernels over the pico
+// model's largest activation at batch 32 ([32,24,16,16], what the repo
+// benchmark's autograd.swish_fwd_us and nn.batchnorm_fwd_us probes time),
+// the batch-norm ones row by row as the layers call them. ns/elem is the
+// figure the README table quotes; allocs/op must stay 0.
+func BenchmarkElementwise(b *testing.B) {
+	const rows, hw = 32 * 24, 16 * 16
+	rng := rand.New(rand.NewSource(6))
+	x := Randn(rng, 2, rows*hw).Data()
+	dy := Randn(rng, 1, rows*hw).Data()
+	sig, out, xhat := make([]float32, rows*hw), make([]float32, rows*hw), make([]float32, rows*hw)
+	SwishInto(out, sig, x)
+	BNNormalizeInto(out, xhat, x, 0.1, 0.5, 1.5, -0.2)
+	for _, c := range []struct {
+		name string
+		row  func(lo, hi int) // one batch-norm row, or the whole tensor at once
+		rows int
+	}{
+		{"swishForward", func(lo, hi int) { SwishInto(out, sig, x) }, 1},
+		{"swishInfer", func(lo, hi int) { SwishInto(out, nil, x) }, 1},
+		{"swishBackward", func(lo, hi int) { SwishBackwardInto(out, dy, sig, x) }, 1},
+		{"sigmoid", func(lo, hi int) { SigmoidInto(out, x) }, 1},
+		{"bnNormalize", func(lo, hi int) { BNNormalizeInto(out[lo:hi], xhat[lo:hi], x[lo:hi], 0.1, 0.5, 1.5, -0.2) }, rows},
+		{"bnInfer", func(lo, hi int) { BNInferInto(out[lo:hi], x[lo:hi], 0.1, 0.5, 1.5, -0.2) }, rows},
+		{"bnBackward", func(lo, hi int) { BNBackwardInto(out[lo:hi], dy[lo:hi], xhat[lo:hi], 0.75, 0.01, -0.02) }, rows},
+	} {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(4 * rows * hw)
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < c.rows; r++ {
+					c.row(r*hw, (r+1)*hw)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(rows*hw), "ns/elem")
+		})
+	}
+}

@@ -233,22 +233,32 @@ func Conv2DBackward(x, w, dy *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 func Conv2DBackwardScratch(x, w, dy *Tensor, spec ConvSpec, sc *Scratch) (dx, dw *Tensor) {
 	dx = New(x.shape...)
 	dw = New(w.shape...)
-	Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc)
+	conv2DBackward(dx, dw, x, w, dy, spec, sc) // fresh tensors are already zero
 	return dx, dw
 }
 
 // Conv2DBackwardInto computes input and weight gradients into dx and dw
-// (overwriting both; shapes must match x and w). Steady-state it allocates
-// nothing. Worker-partial weight gradients merge in deterministic chunk
-// order, so results do not depend on goroutine scheduling.
+// (overwriting both; shapes must match x and w). A nil dx skips the input
+// gradient — the Wᵀ@dy GEMM and its col2im — for callers whose input takes
+// no gradient (the stem conv over a batch of images); dw is the same bits
+// either way. Steady-state it allocates nothing. Worker-partial weight
+// gradients merge in deterministic chunk order, so results do not depend on
+// goroutine scheduling.
 func Conv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
-	n := x.Dim(0)
-	if !SameShape(dx, x) || !SameShape(dw, w) {
-		panic(fmt.Sprintf("tensor: Conv2DBackwardInto gradient shapes dx=%v dw=%v, want %v and %v", dx.shape, dw.shape, x.shape, w.shape))
+	if (dx != nil && !SameShape(dx, x)) || !SameShape(dw, w) {
+		panic(fmt.Sprintf("tensor: Conv2DBackwardInto gradient shapes dx=%v dw=%v, want %v and %v", dx, dw, x.shape, w.shape))
 	}
-	arena := sc.orDefault()
-	dx.Zero()
+	if dx != nil {
+		dx.Zero()
+	}
 	dw.Zero()
+	conv2DBackward(dx, dw, x, w, dy, spec, sc)
+}
+
+// conv2DBackward accumulates into zeroed dx (nil = skip) and dw.
+func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
+	n := x.Dim(0)
+	arena := sc.orDefault()
 
 	workers := parallel.MaxWorkers()
 	if workers > n {
@@ -286,8 +296,9 @@ func Conv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 }
 
 // conv2DBackwardRange accumulates the weight gradient of samples [lo, hi)
-// into dwAcc and writes their (exclusively owned) input-gradient slices of
-// dx. A named function so the single-worker path allocates nothing.
+// into dwAcc and, unless dx is nil, writes their (exclusively owned)
+// input-gradient slices of dx. A named function so the single-worker path
+// allocates nothing.
 func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
@@ -303,9 +314,11 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 			// dW [Cout,Cin] += dy_s [Cout,HW] @ x_sᵀ
 			gemm(dwAcc, dys, ohw, false, x.data[s*chw:(s+1)*chw], ohw, true,
 				cout, cin, ohw, true, arena, gemmPar)
-			// dx_s [Cin,HW] = Wᵀ [Cin,Cout] @ dy_s
-			gemm(dx.data[s*chw:(s+1)*chw], w.data, cin, true, dys, ohw, false,
-				cin, ohw, cout, false, arena, gemmPar)
+			if dx != nil {
+				// dx_s [Cin,HW] = Wᵀ [Cin,Cout] @ dy_s
+				gemm(dx.data[s*chw:(s+1)*chw], w.data, cin, true, dys, ohw, false,
+					cin, ohw, cout, false, arena, gemmPar)
+			}
 		}
 		return
 	}
@@ -316,8 +329,10 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 			dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
 			gather1x1(*gp, x.data[s*chw:(s+1)*chw], cin, h, wd, oh, ow, spec)
 			gemm(dwAcc, dys, ohw, false, *gp, ohw, true, cout, cin, ohw, true, arena, gemmPar)
-			gemm(*dgp, w.data, cin, true, dys, ohw, false, cin, ohw, cout, false, arena, gemmPar)
-			scatter1x1Add(dx.data[s*chw:(s+1)*chw], *dgp, cin, h, wd, oh, ow, spec)
+			if dx != nil {
+				gemm(*dgp, w.data, cin, true, dys, ohw, false, cin, ohw, cout, false, arena, gemmPar)
+				scatter1x1Add(dx.data[s*chw:(s+1)*chw], *dgp, cin, h, wd, oh, ow, spec)
+			}
 		}
 		arena.put(dgp)
 		arena.put(gp)
@@ -330,9 +345,11 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 		im2col(*cp, x.data[s*chw:(s+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
 		// dW [Cout,CKK] += dy_s [Cout,OHW] @ colᵀ
 		gemm(dwAcc, dys, ohw, false, *cp, ohw, true, cout, ckk, ohw, true, arena, gemmPar)
-		// dcol [CKK,OHW] = Wᵀ [CKK,Cout] @ dy_s
-		gemm(*dcp, w.data, ckk, true, dys, ohw, false, ckk, ohw, cout, false, arena, gemmPar)
-		col2im(dx.data[s*chw:(s+1)*chw], *dcp, cin, h, wd, kh, kw, oh, ow, spec)
+		if dx != nil {
+			// dcol [CKK,OHW] = Wᵀ [CKK,Cout] @ dy_s
+			gemm(*dcp, w.data, ckk, true, dys, ohw, false, ckk, ohw, cout, false, arena, gemmPar)
+			col2im(dx.data[s*chw:(s+1)*chw], *dcp, cin, h, wd, kh, kw, oh, ow, spec)
+		}
 	}
 	arena.put(dcp)
 	arena.put(cp)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"effnetscale/internal/parallel"
 )
 
 // TestConv2DAgainstNaive checks a fixed shape table against the shared
@@ -128,5 +130,63 @@ func TestConvOutShape(t *testing.T) {
 	}
 	if SamePad(3) != 1 || SamePad(5) != 2 || SamePad(1) != 0 {
 		t.Fatal("SamePad wrong")
+	}
+}
+
+// TestConvBackwardNilDxAndStaleOutputs covers the two halves of the backward
+// kernels' output contract on every lowering (im2col, pointwise, strided
+// pointwise, depthwise), single- and multi-worker: a nil dx skips the input
+// gradient and leaves dw's bits unchanged, and the Into form overwrites
+// whatever dx and dw held while the allocating form (which relies on fresh
+// zeroed tensors) agrees with it bit for bit.
+func TestConvBackwardNilDxAndStaleOutputs(t *testing.T) {
+	bitsEqual := func(name string, got, want *Tensor) {
+		t.Helper()
+		for i := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", name, i, got.Data()[i], want.Data()[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	for _, workers := range []int{1, 3} {
+		parallel.SetMaxWorkers(workers)
+		for _, c := range []struct {
+			name      string
+			cin, k    int
+			spec      ConvSpec
+			depthwise bool
+		}{
+			{"im2col 3x3 stride 2", 3, 3, ConvSpec{2, 2, 1, 1}, false},
+			{"pointwise", 3, 1, ConvSpec{1, 1, 0, 0}, false},
+			{"strided pointwise", 3, 1, ConvSpec{2, 2, 0, 0}, false},
+			{"depthwise 3x3", 4, 3, ConvSpec{1, 1, 1, 1}, true},
+		} {
+			x := Randn(rng, 1, 4, c.cin, 7, 7)
+			var w, y *Tensor
+			backward := func(dx, dw, dy *Tensor) { Conv2DBackwardInto(dx, dw, x, w, dy, c.spec, nil) }
+			alloc := func(dy *Tensor) (*Tensor, *Tensor) { return Conv2DBackward(x, w, dy, c.spec) }
+			if c.depthwise {
+				w = Randn(rng, 1, c.cin, 1, c.k, c.k)
+				y = DepthwiseConv2D(x, w, c.spec)
+				backward = func(dx, dw, dy *Tensor) { DepthwiseConv2DBackwardInto(dx, dw, x, w, dy, c.spec) }
+				alloc = func(dy *Tensor) (*Tensor, *Tensor) { return DepthwiseConv2DBackward(x, w, dy, c.spec) }
+			} else {
+				w = Randn(rng, 1, 5, c.cin, c.k, c.k)
+				y = Conv2D(x, w, c.spec)
+			}
+			dy := Randn(rng, 1, y.Shape()...)
+
+			wantDx, wantDw := alloc(dy)
+			dx, dw := Full(99, x.Shape()...), Full(-99, w.Shape()...) // stale contents
+			backward(dx, dw, dy)
+			bitsEqual(c.name+" dx over stale output", dx, wantDx)
+			bitsEqual(c.name+" dw over stale output", dw, wantDw)
+
+			dwOnly := Full(7, w.Shape()...)
+			backward(nil, dwOnly, dy)
+			bitsEqual(c.name+" dw with nil dx", dwOnly, wantDw)
+		}
 	}
 }

@@ -174,23 +174,31 @@ func depthwiseForwardOne(dst, x, w *Tensor, g dwGeom, c, nc int) {
 func DepthwiseConv2DBackward(x, w, dy *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 	dx = New(x.shape...)
 	dw = New(w.shape...)
-	DepthwiseConv2DBackwardInto(dx, dw, x, w, dy, spec)
+	depthwiseConv2DBackward(dx, dw, x, w, dy, spec) // fresh tensors are already zero
 	return dx, dw
 }
 
 // DepthwiseConv2DBackwardInto computes gradients into dx and dw, overwriting
-// both. It allocates nothing when running single-worker. Channels are
-// processed independently (each channel's dw slice has a single owner), so
-// the result is deterministic under any goroutine schedule.
+// both; a nil dx skips the input gradient (dw is the same bits either way).
+// It allocates nothing when running single-worker. Channels are processed
+// independently (each channel's dw slice has a single owner), so the result
+// is deterministic under any goroutine schedule.
 func DepthwiseConv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
+	if (dx != nil && !SameShape(dx, x)) || !SameShape(dw, w) {
+		panic(fmt.Sprintf("tensor: DepthwiseConv2DBackwardInto gradient shapes dx=%v dw=%v, want %v and %v", dx, dw, x.shape, w.shape))
+	}
+	if dx != nil {
+		dx.Zero()
+	}
+	dw.Zero()
+	depthwiseConv2DBackward(dx, dw, x, w, dy, spec)
+}
+
+// depthwiseConv2DBackward accumulates into zeroed dx (nil = skip) and dw.
+func depthwiseConv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
 	n, c, h, wd := x.Dim4()
 	_, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dy.Dim4()
-	if !SameShape(dx, x) || !SameShape(dw, w) {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2DBackwardInto gradient shapes dx=%v dw=%v, want %v and %v", dx.shape, dw.shape, x.shape, w.shape))
-	}
-	dx.Zero()
-	dw.Zero()
 	g := dwGeom{h: h, w: wd, kh: kh, kw: kw, oh: oh, ow: ow,
 		strideH: spec.StrideH, strideW: spec.StrideW, padH: spec.PadH, padW: spec.PadW}
 	g.oyLo, g.oyHi = interiorRange(spec.StrideH, spec.PadH, kh, h, oh)
@@ -207,9 +215,10 @@ func DepthwiseConv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
 }
 
 // depthwiseBackwardChannel accumulates input and weight gradients for one
-// channel across all samples. Outputs are visited in row-major (oy, ox)
-// order with kernel taps ascending, so accumulation order — and therefore
-// the float32 result — is identical to a naive quadruple loop.
+// channel across all samples (weight gradients only when dx is nil). Outputs
+// are visited in row-major (oy, ox) order with kernel taps ascending, so
+// accumulation order — and therefore the float32 result — is identical to a
+// naive quadruple loop.
 func depthwiseBackwardChannel(dx, dw, x, w, dy *Tensor, g dwGeom, n, c, ch int) {
 	h, wd, kh, kw, oh, ow := g.h, g.w, g.kh, g.kw, g.oh, g.ow
 	ws := w.data[ch*kh*kw : (ch+1)*kh*kw]
@@ -217,7 +226,10 @@ func depthwiseBackwardChannel(dx, dw, x, w, dy *Tensor, g dwGeom, n, c, ch int) 
 	for s := 0; s < n; s++ {
 		nc := s*c + ch
 		xs := x.data[nc*h*wd : (nc+1)*h*wd]
-		dxs := dx.data[nc*h*wd : (nc+1)*h*wd]
+		var dxs []float32
+		if dx != nil {
+			dxs = dx.data[nc*h*wd : (nc+1)*h*wd]
+		}
 		dys := dy.data[nc*oh*ow : (nc+1)*oh*ow]
 		// Checked path for the full window; shared by border outputs.
 		scatter := func(oy, ox int) {
@@ -232,7 +244,9 @@ func depthwiseBackwardChannel(dx, dw, x, w, dy *Tensor, g dwGeom, n, c, ch int) 
 					if ix < 0 || ix >= wd {
 						continue
 					}
-					dxs[iy*wd+ix] += gv * ws[i*kw+j]
+					if dxs != nil {
+						dxs[iy*wd+ix] += gv * ws[i*kw+j]
+					}
 					dws[i*kw+j] += gv * xs[iy*wd+ix]
 				}
 			}
@@ -250,6 +264,16 @@ func depthwiseBackwardChannel(dx, dw, x, w, dy *Tensor, g dwGeom, n, c, ch int) 
 			for ox := g.oxLo; ox < g.oxHi; ox++ {
 				ix0 := ox*g.strideW - g.padW
 				gv := dys[oy*ow+ox]
+				if dxs == nil {
+					for i := 0; i < kh; i++ {
+						xrow := xs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]
+						dwrow := dws[i*kw : i*kw+kw]
+						for j := range dwrow {
+							dwrow[j] += gv * xrow[j]
+						}
+					}
+					continue
+				}
 				for i := 0; i < kh; i++ {
 					dxrow := dxs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]
 					xrow := xs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]

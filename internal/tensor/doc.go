@@ -26,6 +26,54 @@
 // depthwise kernels split each plane into a branch-free interior and a
 // bounds-checked border (depthwise.go).
 //
+// # Element-wise kernels
+//
+// Swish, sigmoid and the three batch-norm apply passes (training normalize,
+// running-statistics inference, backward dx) are *Into functions over flat
+// []float32 rows (elementwise.go): allocation-free, serial, callable from
+// any goroutine. EfficientNet puts one of them behind nearly every
+// convolution, so they get the GEMM's treatment: AVX2 assembly, eight lanes
+// per iteration (elementwise_amd64.s), gated on AVX2 + OS YMM state
+// (useAVX2; no FMA needed), with a portable Go twin.
+//
+// The sigmoid is σ(x) = 1/(1+e^t), t = −x, with a float32 exp: clamp t to
+// [−87.33654475, 88.3762626647949]; k = roundeven(t·log2e), taken by adding
+// and subtracting 1.5·2^23; r = t − k·0.693359375 − k·(−2.12194440e−4)
+// (Cody–Waite, the first product is exact); e^r by Cephes expf's degree-5
+// polynomial, evaluated as (p(r)·r² + r) + 1; scaled by 2^k assembled in the
+// exponent field ((k+127)<<23); one division. Against a float64 reference σ
+// and x·σ stay within 3 ULP for x ≥ −87.33 (TestSigmoidSwishOracle; the
+// measured maxima are 2.4 and 2.7); below that σ is a denormal (x·σ inherits
+// its fixed 2^−149 spacing), and below −88.376 it saturates at the clamp's
+// floor, 1/(1+e^88.376) ≈ 4.2e−39, instead of continuing towards 0.
+//
+// One algorithm, two spellings, identical bits. The assembly uses only
+// VMULPS / VADDPS / VSUBPS / VDIVPS — never an FMA — and the Go twin performs
+// the same IEEE float32 operations in the same order with an explicit
+// float32(...) around every product, so no compiler (arm64, GOAMD64=v3) may
+// contract one. Consequences the rest of the repo leans on: the assembly
+// takes the leading multiple of eight elements and the twin the ragged tail,
+// with no seam; an element's result never depends on its index, so batch-1
+// and batch-N inference agree bitwise; and amd64 and every other
+// architecture compute the same activations. The mul/add/sub-only kernels
+// (Swish backward, the batch-norm passes) reproduce the scalar loops they
+// replaced bit for bit; only exp changed numerics (σ used to be the float64
+// value rounded once). FuzzElementwiseKernels holds the two spellings
+// together over fuzzed lengths, alignments and value classes.
+//
+// Non-finite inputs stay non-finite:
+//
+//	x      σ(x)                        x·σ(x)
+//	NaN    NaN (the input, blended     NaN
+//	       back: VMINPS/VMAXPS would
+//	       have replaced it)
+//	+Inf   1                           +Inf
+//	−Inf   ≈ 4.2e−39 (clamp floor)     −Inf
+//
+// Which payload a NaN result carries is not pinned (it depends on operand
+// order, which differs between compilers and architectures); that a lane is
+// NaN is.
+//
 // # Scratch arenas
 //
 // Kernel temporaries — im2col column matrices, packing panels, gathered
@@ -45,8 +93,8 @@
 // stay NaN. fuzz_test.go extends the oracles over fuzzed shapes and pins
 // the im2col/col2im adjoint identity; seed corpora live under testdata.
 // Performance is gated by cmd/benchdiff comparing BenchmarkStep /
-// BenchmarkMatMul / BenchmarkConv against the committed
-// BENCH_BASELINE.json in CI.
+// BenchmarkMatMul / BenchmarkConv / BenchmarkElementwise against the
+// committed BENCH_BASELINE.json in CI.
 //
 // Seams: Tensor is the storage type everything above shares; kernels
 // parallelize through package parallel so host-CPU parallelism policy stays

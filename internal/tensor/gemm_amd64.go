@@ -40,17 +40,16 @@ func forceFMA(v bool) func() {
 	return func() { useFMA = old }
 }
 
-func detectFMA() bool {
+// detectAVX2 reports AVX2 support in the CPU plus OS-managed YMM state
+// (OSXSAVE + XCR0 bits 1-2) — all the element-wise kernels need.
+func detectAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
 	}
 	_, _, c1, _ := cpuid(1, 0)
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-	)
-	if c1&fmaBit == 0 || c1&osxsaveBit == 0 {
+	const osxsaveBit = 1 << 27
+	if c1&osxsaveBit == 0 {
 		return false
 	}
 	if lo, _ := xgetbv(); lo&0x6 != 0x6 { // XMM and YMM state saved by the OS
@@ -59,4 +58,13 @@ func detectFMA() bool {
 	_, b7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
 	return b7&avx2Bit != 0
+}
+
+func detectFMA() bool {
+	if !detectAVX2() {
+		return false
+	}
+	_, _, c1, _ := cpuid(1, 0)
+	const fmaBit = 1 << 12
+	return c1&fmaBit != 0
 }
