@@ -14,7 +14,12 @@
 // running-stats BN, no dropout/drop-connect, no autograd allocations) —
 // the path evaluation strategies score on and internal/serve batches over;
 // it matches Forward with Training=false bit for bit
-// (TestModelInferMatchesEvalForward).
+// (TestModelInferMatchesEvalForward). Infer allocates one tensor per
+// convolution and applies batch norm, Swish, the SE gate and the residual
+// add to it in place; it may overwrite only those tensors of its own —
+// never the caller's input, never a block's residual input, never model
+// state (TestInferLeavesInputUntouched) — which is what keeps it safe for
+// concurrent use over shared request and evaluation batches.
 //
 // Paper: §2 describes the EfficientNet workload whose scaling limits the
 // paper explores; Table 1/2 train B2 and B5.

@@ -1,6 +1,7 @@
 package efficientnet
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -82,5 +83,50 @@ func TestModelInferConcurrent(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestInferLeavesInputUntouched pins the rule the in-place epilogues live by:
+// a pass overwrites only tensors it allocated, never the caller's input (a
+// serve batch view, replica.Evaluate's images) and never the residual input
+// an MBConv adds back — with and without a skip connection or an expansion
+// conv, with bf16 operand rounding on and off. The outputs must still match
+// the eval-mode tape forward bit for bit.
+func TestInferLeavesInputUntouched(t *testing.T) {
+	m := newTestModel(t, 5)
+	rng := rand.New(rand.NewSource(14))
+	blocks := map[string]*MBConv{
+		"skip, no expand": NewMBConv(rng, "a", BlockArgs{Kernel: 3, InFilters: 8, OutFilters: 8, ExpandRatio: 1, Stride: 1, SERatio: 0.25}, 0),
+		"skip, expand":    NewMBConv(rng, "b", BlockArgs{Kernel: 5, InFilters: 8, OutFilters: 8, ExpandRatio: 6, Stride: 1, SERatio: 0.25}, 0),
+		"no skip":         NewMBConv(rng, "c", BlockArgs{Kernel: 3, InFilters: 8, OutFilters: 12, ExpandRatio: 6, Stride: 2, SERatio: 0.25}, 0),
+	}
+	sameBits := func(t *testing.T, what string, got, want *tensor.Tensor) {
+		t.Helper()
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: element %d is %v, want %v", what, i, got.Data()[i], v)
+			}
+		}
+	}
+	for pname, pol := range map[string]bf16.Policy{"fp32": bf16.FP32Policy, "bf16": bf16.DefaultPolicy} {
+		t.Run(pname+"/model", func(t *testing.T) {
+			x := tensor.Randn(rng, 1, 3, 3, 32, 32)
+			before := x.Clone()
+			got := m.Infer(pol, x)
+			sameBits(t, "input after Model.Infer", x, before)
+			sameBits(t, "logits", got, m.Forward(&nn.Ctx{Precision: pol}, autograd.Constant(x)).T)
+		})
+		for bname, b := range blocks {
+			t.Run(pname+"/"+bname, func(t *testing.T) {
+				if want := bname != "no skip"; b.HasSkip != want {
+					t.Fatalf("HasSkip = %v, want %v", b.HasSkip, want)
+				}
+				x := tensor.Randn(rng, 1, 2, 8, 6, 6)
+				before := x.Clone()
+				got := b.Infer(pol, x)
+				sameBits(t, "input after MBConv.Infer", x, before)
+				sameBits(t, "output", got, b.Forward(&nn.Ctx{Precision: pol}, autograd.Constant(x)).T)
+			})
+		}
 	}
 }

@@ -15,6 +15,11 @@ import (
 // backward closures, no activation caches kept alive for a backward pass
 // that will never run. Evaluation and serving both ride this path; training
 // keeps the tape.
+//
+// Infer returns a fresh tensor and leaves its input untouched. The
+// element-wise layers also have an InPlace form over the same kernel, for a
+// caller that owns the tensor (efficientnet's forward applies batch norm,
+// Swish and the SE gate to the convolution outputs it has just allocated).
 
 // Inferer is a layer with a tape-free inference forward. The policy controls
 // the same mixed-precision emulation the training forward applies (bf16
@@ -49,6 +54,11 @@ func SwishTensor(t *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(t.Shape()...)
 	tensor.SwishInto(out.Data(), nil, t.Data())
 	return out
+}
+
+// SwishInPlace is SwishTensor overwriting t.
+func SwishInPlace(t *tensor.Tensor) {
+	tensor.SwishInto(t.Data(), nil, t.Data())
 }
 
 // ReLUTensor applies max(0, x) element-wise, tape-free.
@@ -93,25 +103,45 @@ func (l *Dense) Infer(_ bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
 // per-row kernel, with the same per-channel scalars, as the tape's eval
 // forward.
 func (l *BatchNorm) Infer(_ bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.Shape()...)
+	l.inferInto(out, x)
+	return out
+}
+
+// InferInPlace is Infer overwriting x.
+func (l *BatchNorm) InferInPlace(x *tensor.Tensor) { l.inferInto(x, x) }
+
+func (l *BatchNorm) inferInto(out, x *tensor.Tensor) {
 	n, c, h, w := x.Dim4()
 	if c != l.c {
 		panic(fmt.Sprintf("nn: BatchNorm built for %d channels, got %d", l.c, c))
 	}
-	out := tensor.New(x.Shape()...)
 	l.applyRunning(out.Data(), x.Data(), n, h*w)
-	return out
 }
 
 // Infer implements Inferer: x * σ(W2·swish(W1·gap(x))), tape-free.
 func (l *SqueezeExcite) Infer(policy bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.Shape()...)
+	l.inferInto(out, policy, x)
+	return out
+}
+
+// InferInPlace is Infer gating x itself.
+func (l *SqueezeExcite) InferInPlace(policy bf16.Policy, x *tensor.Tensor) { l.inferInto(x, policy, x) }
+
+func (l *SqueezeExcite) inferInto(out *tensor.Tensor, policy bf16.Policy, x *tensor.Tensor) {
 	if x.Dim(1) != l.C {
 		panic(fmt.Sprintf("nn: SqueezeExcite built for %d channels, got %d", l.C, x.Dim(1)))
 	}
 	_, _, h, w := x.Dim4()
-	s := tensor.Scale(tensor.SumChannelNC(x), 1/float32(h*w)) // [N,C]
-	s = SwishTensor(l.Reduce.Infer(policy, s))
-	s = SigmoidTensor(l.Expand.Infer(policy, s))
-	return tensor.MulChannelNC(x, s)
+	// The squeezed vector and the dense outputs are this pass's own tensors.
+	s := tensor.SumChannelNC(x) // [N,C]
+	s.ScaleInPlace(1 / float32(h*w))
+	s = l.Reduce.Infer(policy, s)
+	SwishInPlace(s)
+	s = l.Expand.Infer(policy, s)
+	tensor.SigmoidInto(s.Data(), s.Data())
+	tensor.MulChannelNCInto(out, x, s)
 }
 
 // Infer implements Inferer: activations are stateless, so the tensor-level

@@ -60,6 +60,18 @@ func TestInferMatchesEvalForwardPerLayer(t *testing.T) {
 			want := l.Forward(ctx, autograd.Constant(x)).T
 			got := l.Infer(pol, x)
 			t.Run(pname+"/"+lname, func(t *testing.T) { assertBitIdentical(t, got, want) })
+			// The in-place forms run the same kernels over a tensor the
+			// caller owns.
+			own := x.Clone()
+			switch l := l.(type) {
+			case *BatchNorm:
+				l.InferInPlace(own)
+			case *SqueezeExcite:
+				l.InferInPlace(pol, own)
+			default:
+				continue
+			}
+			t.Run(pname+"/"+lname+"/inplace", func(t *testing.T) { assertBitIdentical(t, own, want) })
 		}
 	}
 }
@@ -103,6 +115,9 @@ func TestSwishReLUSigmoidTensorMatchTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := tensor.Randn(rng, 2, 64)
 	assertBitIdentical(t, SwishTensor(x), autograd.Swish(autograd.Constant(x)).T)
+	own := x.Clone()
+	SwishInPlace(own)
+	assertBitIdentical(t, own, SwishTensor(x))
 	assertBitIdentical(t, ReLUTensor(x), autograd.ReLU(autograd.Constant(x)).T)
 	assertBitIdentical(t, SigmoidTensor(x), autograd.Sigmoid(autograd.Constant(x)).T)
 }

@@ -84,73 +84,55 @@ func BenchmarkElementwiseAdd1M(b *testing.B) {
 // BenchmarkConv measures the steady-state conv kernels through the Into
 // variants with a warm scratch arena — the configuration the training loop
 // runs in. ReportAllocs proves the allocs/op = 0 contract that the
-// bench-regression guard enforces.
+// bench-regression guard enforces. The first five cases are N = 4 over 16×16
+// maps; the rest are pico's own layers at batch 32, whose 1×1, 2×2 and 8×8
+// maps are where weight packing and border handling dominate.
 func BenchmarkConv(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	sc := NewScratch()
-	b.Run("forward3x3", func(b *testing.B) {
-		x := Randn(rng, 1, 4, 16, 16, 16)
-		w := Randn(rng, 0.2, 32, 16, 3, 3)
-		spec := ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-		dst := New(spec.OutShape(x, w)...)
-		Conv2DInto(dst, x, w, spec, sc) // warm the arena
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Conv2DInto(dst, x, w, spec, sc)
-		}
-	})
-	b.Run("forward1x1", func(b *testing.B) {
-		x := Randn(rng, 1, 4, 32, 16, 16)
-		w := Randn(rng, 0.2, 64, 32, 1, 1)
-		spec := ConvSpec{StrideH: 1, StrideW: 1}
-		dst := New(spec.OutShape(x, w)...)
-		Conv2DInto(dst, x, w, spec, sc)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Conv2DInto(dst, x, w, spec, sc)
-		}
-	})
-	b.Run("backward3x3", func(b *testing.B) {
-		x := Randn(rng, 1, 4, 16, 16, 16)
-		w := Randn(rng, 0.2, 32, 16, 3, 3)
-		spec := ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-		dy := Randn(rng, 1, spec.OutShape(x, w)...)
-		dx := New(x.Shape()...)
-		dw := New(w.Shape()...)
-		Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc)
-		}
-	})
-	b.Run("backward1x1", func(b *testing.B) {
-		x := Randn(rng, 1, 4, 32, 16, 16)
-		w := Randn(rng, 0.2, 64, 32, 1, 1)
-		spec := ConvSpec{StrideH: 1, StrideW: 1}
-		dy := Randn(rng, 1, spec.OutShape(x, w)...)
-		dx := New(x.Shape()...)
-		dw := New(w.Shape()...)
-		Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc)
-		}
-	})
-	b.Run("depthwise", func(b *testing.B) {
-		x := Randn(rng, 1, 4, 32, 16, 16)
-		w := Randn(rng, 0.2, 32, 1, 3, 3)
-		spec := ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-		dst := New(DepthwiseConv2D(x, w, spec).Shape()...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			DepthwiseConv2DInto(dst, x, w, spec)
-		}
-	})
+	for _, c := range []struct {
+		name             string
+		n, cin, hw, cout int // cout 0 = depthwise
+		k, stride        int
+		backward         bool
+	}{
+		{"forward3x3", 4, 16, 16, 32, 3, 1, false},
+		{"forward1x1", 4, 32, 16, 64, 1, 1, false},
+		{"backward3x3", 4, 16, 16, 32, 3, 1, true},
+		{"backward1x1", 4, 32, 16, 64, 1, 1, true},
+		{"depthwise", 4, 32, 16, 0, 3, 1, false},
+		{"forward1x1_hw1", 32, 24, 1, 144, 1, 1, false},
+		{"forward1x1_hw4", 32, 12, 2, 72, 1, 1, false},
+		{"backward1x1_hw1", 32, 24, 1, 144, 1, 1, true},
+		{"depthwise5x5s2", 32, 24, 8, 0, 5, 2, false},
+		{"depthwiseTiny", 32, 72, 2, 0, 5, 1, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := ConvSpec{StrideH: c.stride, StrideW: c.stride, PadH: SamePad(c.k), PadW: SamePad(c.k)}
+			x := Randn(rng, 1, c.n, c.cin, c.hw, c.hw)
+			var run func()
+			if c.cout == 0 {
+				w := Randn(rng, 0.2, c.cin, 1, c.k, c.k)
+				dst := New(DepthwiseConv2D(x, w, spec).Shape()...)
+				run = func() { DepthwiseConv2DInto(dst, x, w, spec) }
+			} else {
+				w := Randn(rng, 0.2, c.cout, c.cin, c.k, c.k)
+				dst := New(spec.OutShape(x, w)...)
+				run = func() { Conv2DInto(dst, x, w, spec, sc) }
+				if c.backward {
+					dy := Randn(rng, 1, dst.Shape()...)
+					dx, dw := New(x.Shape()...), New(w.Shape()...)
+					run = func() { Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc) }
+				}
+			}
+			run() // warm the arena
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
 }
 
 // BenchmarkElementwise measures the element-wise kernels over the pico

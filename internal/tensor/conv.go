@@ -32,40 +32,72 @@ func (s ConvSpec) OutShape(x, w *Tensor) []int {
 // for an odd kernel size k.
 func SamePad(k int) int { return (k - 1) / 2 }
 
-// is1x1 reports whether the convolution is a pointwise (1×1, unpadded)
-// conv — the shape the dedicated fast path handles without im2col.
-func is1x1(kh, kw int, spec ConvSpec) bool {
-	return kh == 1 && kw == 1 && spec.PadH == 0 && spec.PadW == 0
+// isDirect reports whether the convolution is a pointwise (1×1, unpadded,
+// unit-stride) conv — the shape whose column matrix is the activation
+// itself, so it runs without an im2col copy.
+func isDirect(kh, kw int, spec ConvSpec) bool {
+	return kh == 1 && kw == 1 && spec.PadH == 0 && spec.PadW == 0 && spec.StrideH == 1 && spec.StrideW == 1
+}
+
+// convFoldCols caps the columns one batched GEMM call folds together:
+// conv2DForwardRange and conv2DBackwardRange hand gemmBatch groups of
+// max(1, convFoldCols/(OH*OW)) samples, so the im2col and packed-B buffers
+// are sized by the group, not the batch, and the weights are packed once per
+// group instead of once per sample. The value is a memory bound, not a
+// tuning knob: pico at batch 32 runs at the same speed from 512 columns up
+// to no cap at all (only 256, one 16×16 sample per call, is slower), and at
+// 2048 maps up to 8×8 still fold the whole batch into one call.
+const convFoldCols = 2048
+
+// tapRange returns the half-open range [lo, hi) of output positions o in
+// [0, out) whose input coordinate o*stride+off lies inside [0, in): the
+// outputs for which one kernel tap (off = tap - pad) reads real data.
+func tapRange(off, stride, in, out int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if in > off {
+		hi = (in-off-1)/stride + 1
+	}
+	hi = min(hi, out)
+	lo = min(lo, hi)
+	return lo, hi
 }
 
 // im2col expands one sample's receptive fields into a column matrix of shape
 // [Cin*KH*KW, OH*OW]. xd is the sample's [Cin,H,W] data. The result is
-// written into col, which must have the right size.
+// written into col, which must have the right size. Each (tap, output row)
+// is one clipped run: zero margins where the tap falls in the padding, a
+// copy (or a strided walk) of the input row between them.
 func im2col(col []float32, xd []float32, cin, h, w, kh, kw, oh, ow int, spec ConvSpec) {
 	// col[(c*kh*kw + i*kw + j) * (oh*ow) + (oy*ow + ox)] = x[c, oy*s - p + i, ox*s - p + j]
 	ohw := oh * ow
+	sw := spec.StrideW
 	for c := 0; c < cin; c++ {
 		xbase := c * h * w
 		for i := 0; i < kh; i++ {
 			for j := 0; j < kw; j++ {
 				crow := col[(c*kh*kw+i*kw+j)*ohw:]
+				off := j - spec.PadW
+				oxLo, oxHi := tapRange(off, sw, w, ow)
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*spec.StrideH - spec.PadH + i
 					orow := crow[oy*ow : oy*ow+ow]
 					if iy < 0 || iy >= h {
-						for ox := range orow {
-							orow[ox] = 0
-						}
+						clear(orow)
 						continue
 					}
 					xrow := xd[xbase+iy*w : xbase+iy*w+w]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*spec.StrideW - spec.PadW + j
-						if ix < 0 || ix >= w {
-							orow[ox] = 0
-						} else {
-							orow[ox] = xrow[ix]
-						}
+					clear(orow[:oxLo])
+					clear(orow[oxHi:])
+					if sw == 1 {
+						copy(orow[oxLo:oxHi], xrow[oxLo+off:])
+						continue
+					}
+					ix := oxLo*sw + off
+					for ox := oxLo; ox < oxHi; ox++ {
+						orow[ox] = xrow[ix]
+						ix += sw
 					}
 				}
 			}
@@ -74,25 +106,28 @@ func im2col(col []float32, xd []float32, cin, h, w, kh, kw, oh, ow int, spec Con
 }
 
 // col2im scatters a column-matrix gradient back into an input-shaped gradient
-// (accumulating where receptive fields overlap).
+// (accumulating where receptive fields overlap), over the same clipped runs
+// im2col reads.
 func col2im(dx []float32, col []float32, cin, h, w, kh, kw, oh, ow int, spec ConvSpec) {
 	ohw := oh * ow
+	sw := spec.StrideW
 	for c := 0; c < cin; c++ {
 		xbase := c * h * w
 		for i := 0; i < kh; i++ {
 			for j := 0; j < kw; j++ {
 				crow := col[(c*kh*kw+i*kw+j)*ohw:]
+				off := j - spec.PadW
+				oxLo, oxHi := tapRange(off, sw, w, ow)
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*spec.StrideH - spec.PadH + i
 					if iy < 0 || iy >= h {
 						continue
 					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*spec.StrideW - spec.PadW + j
-						if ix < 0 || ix >= w {
-							continue
-						}
-						dx[xbase+iy*w+ix] += crow[oy*ow+ox]
+					dxrow := dx[xbase+iy*w : xbase+iy*w+w]
+					ix := oxLo*sw + off
+					for _, v := range crow[oy*ow+oxLo : oy*ow+oxHi] {
+						dxrow[ix] += v
+						ix += sw
 					}
 				}
 			}
@@ -148,9 +183,14 @@ func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 	}
 }
 
-// conv2DForwardRange convolves samples [lo, hi) into dst. gemmPar spreads
-// each sample's GEMM over row-block workers; callers already fanned out
-// across samples pass false to avoid nested parallelism.
+// conv2DForwardRange convolves samples [lo, hi) into dst, a group of samples
+// per GEMM: out [Cout, group·OHW] = W [Cout,CKK] @ cols [CKK, group·OHW]. A
+// direct conv's column matrix is the activation itself (the layout the
+// channel-sharded 1×1 convs of the hybrid engine hit,
+// efficientnet.Conv1x1Fn); every other shape is lowered by im2col into a
+// scratch buffer sized to the group. gemmPar spreads the GEMM over row-block
+// workers; callers already fanned out across samples pass false to avoid
+// nested parallelism.
 func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
@@ -158,68 +198,26 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPa
 	ckk := cin * kh * kw
 	ohw := oh * ow
 	chw := cin * h * wd
-	if is1x1(kh, kw, spec) && spec.StrideH == 1 && spec.StrideW == 1 {
-		// Pointwise fast path: out_s [Cout,HW] = W [Cout,Cin] @ x_s
-		// [Cin,HW] — the input matrix is the activation itself, no
-		// im2col copy at all. This is the layout the channel-sharded
-		// 1×1 convs of the hybrid engine hit (efficientnet.Conv1x1Fn).
-		for s := lo; s < hi; s++ {
-			gemm(dst.data[s*cout*ohw:(s+1)*cout*ohw], w.data, cin, false,
-				x.data[s*chw:(s+1)*chw], ohw, false, cout, ohw, cin, false, arena, gemmPar)
-		}
-		return
+	direct := isDirect(kh, kw, spec)
+	group := min(max(1, convFoldCols/ohw), hi-lo)
+	var cp *[]float32
+	if !direct {
+		cp = arena.get(group * ckk * ohw)
 	}
-	if is1x1(kh, kw, spec) {
-		// Strided 1×1: gather the strided grid into a dense [Cin,OHW]
-		// matrix (far smaller than an im2col buffer), then one GEMM.
-		gp := arena.get(cin * ohw)
-		for s := lo; s < hi; s++ {
-			gather1x1(*gp, x.data[s*chw:(s+1)*chw], cin, h, wd, oh, ow, spec)
-			gemm(dst.data[s*cout*ohw:(s+1)*cout*ohw], w.data, cin, false,
-				*gp, ohw, false, cout, ohw, cin, false, arena, gemmPar)
-		}
-		arena.put(gp)
-		return
-	}
-	cp := arena.get(ckk * ohw)
-	for s := lo; s < hi; s++ {
-		im2col(*cp, x.data[s*chw:(s+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
-		// out_s [Cout,OHW] = W [Cout,CKK] @ col [CKK,OHW]
-		gemm(dst.data[s*cout*ohw:(s+1)*cout*ohw], w.data, ckk, false,
-			*cp, ohw, false, cout, ohw, ckk, false, arena, gemmPar)
-	}
-	arena.put(cp)
-}
-
-// gather1x1 packs the stride-sampled spatial grid of one [Cin,H,W] sample
-// into a dense [Cin,OH*OW] matrix.
-func gather1x1(dst, xs []float32, cin, h, w, oh, ow int, spec ConvSpec) {
-	ohw := oh * ow
-	for c := 0; c < cin; c++ {
-		d := dst[c*ohw : (c+1)*ohw]
-		for oy := 0; oy < oh; oy++ {
-			xrow := xs[c*h*w+oy*spec.StrideH*w:]
-			drow := d[oy*ow : oy*ow+ow]
-			for ox := range drow {
-				drow[ox] = xrow[ox*spec.StrideW]
+	for s := lo; s < hi; s += group {
+		cnt := min(group, hi-s)
+		cols, colStride := x.data[s*chw:], chw
+		if !direct {
+			cols, colStride = *cp, ckk*ohw
+			for i := 0; i < cnt; i++ {
+				im2col(cols[i*colStride:(i+1)*colStride], x.data[(s+i)*chw:(s+i+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
 			}
 		}
+		gemmBatch(dst.data[s*cout*ohw:], cout*ohw, w.data, ckk, false,
+			cols, ohw, false, colStride, cnt, cout, ohw, ckk, false, arena, gemmPar)
 	}
-}
-
-// scatter1x1Add adds a dense [Cin,OH*OW] gradient back onto the
-// stride-sampled positions of one [Cin,H,W] gradient.
-func scatter1x1Add(dxs, g []float32, cin, h, w, oh, ow int, spec ConvSpec) {
-	ohw := oh * ow
-	for c := 0; c < cin; c++ {
-		s := g[c*ohw : (c+1)*ohw]
-		for oy := 0; oy < oh; oy++ {
-			dxrow := dxs[c*h*w+oy*spec.StrideH*w:]
-			srow := s[oy*ow : oy*ow+ow]
-			for ox := range srow {
-				dxrow[ox*spec.StrideW] += srow[ox]
-			}
-		}
+	if cp != nil {
+		arena.put(cp)
 	}
 }
 
@@ -297,8 +295,11 @@ func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 
 // conv2DBackwardRange accumulates the weight gradient of samples [lo, hi)
 // into dwAcc and, unless dx is nil, writes their (exclusively owned)
-// input-gradient slices of dx. A named function so the single-worker path
-// allocates nothing.
+// input-gradient slices of dx, group by group as conv2DForwardRange does.
+// The weight gradient stays one GEMM per sample, in sample order: it has no
+// shared operand, and folding its k dimension across samples would change
+// the summation order. A named function so the single-worker path allocates
+// nothing.
 func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
@@ -306,51 +307,49 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 	ckk := cin * kh * kw
 	ohw := oh * ow
 	chw := cin * h * wd
-	pointwise := is1x1(kh, kw, spec)
-	unitStride := spec.StrideH == 1 && spec.StrideW == 1
-	if pointwise && unitStride {
-		for s := lo; s < hi; s++ {
-			dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
-			// dW [Cout,Cin] += dy_s [Cout,HW] @ x_sᵀ
-			gemm(dwAcc, dys, ohw, false, x.data[s*chw:(s+1)*chw], ohw, true,
-				cout, cin, ohw, true, arena, gemmPar)
-			if dx != nil {
-				// dx_s [Cin,HW] = Wᵀ [Cin,Cout] @ dy_s
-				gemm(dx.data[s*chw:(s+1)*chw], w.data, cin, true, dys, ohw, false,
-					cin, ohw, cout, false, arena, gemmPar)
-			}
-		}
-		return
-	}
-	if pointwise {
-		gp := arena.get(cin * ohw)
-		dgp := arena.get(cin * ohw)
-		for s := lo; s < hi; s++ {
-			dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
-			gather1x1(*gp, x.data[s*chw:(s+1)*chw], cin, h, wd, oh, ow, spec)
-			gemm(dwAcc, dys, ohw, false, *gp, ohw, true, cout, cin, ohw, true, arena, gemmPar)
-			if dx != nil {
-				gemm(*dgp, w.data, cin, true, dys, ohw, false, cin, ohw, cout, false, arena, gemmPar)
-				scatter1x1Add(dx.data[s*chw:(s+1)*chw], *dgp, cin, h, wd, oh, ow, spec)
-			}
-		}
-		arena.put(dgp)
-		arena.put(gp)
-		return
-	}
-	cp := arena.get(ckk * ohw)
-	dcp := arena.get(ckk * ohw)
-	for s := lo; s < hi; s++ {
-		dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
-		im2col(*cp, x.data[s*chw:(s+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
-		// dW [Cout,CKK] += dy_s [Cout,OHW] @ colᵀ
-		gemm(dwAcc, dys, ohw, false, *cp, ohw, true, cout, ckk, ohw, true, arena, gemmPar)
+	direct := isDirect(kh, kw, spec)
+	group := min(max(1, convFoldCols/ohw), hi-lo)
+	var cp, dcp *[]float32
+	if !direct {
+		cp = arena.get(group * ckk * ohw)
 		if dx != nil {
-			// dcol [CKK,OHW] = Wᵀ [CKK,Cout] @ dy_s
-			gemm(*dcp, w.data, ckk, true, dys, ohw, false, ckk, ohw, cout, false, arena, gemmPar)
-			col2im(dx.data[s*chw:(s+1)*chw], *dcp, cin, h, wd, kh, kw, oh, ow, spec)
+			dcp = arena.get(group * ckk * ohw)
 		}
 	}
-	arena.put(dcp)
-	arena.put(cp)
+	for s := lo; s < hi; s += group {
+		cnt := min(group, hi-s)
+		cols, colStride := x.data[s*chw:], chw
+		if !direct {
+			cols, colStride = *cp, ckk*ohw
+			for i := 0; i < cnt; i++ {
+				im2col(cols[i*colStride:(i+1)*colStride], x.data[(s+i)*chw:(s+i+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
+			}
+		}
+		for i := 0; i < cnt; i++ {
+			// dW [Cout,CKK] += dy_s [Cout,OHW] @ cols_sᵀ
+			gemm(dwAcc, dy.data[(s+i)*cout*ohw:], ohw, false, cols[i*colStride:], ohw, true,
+				cout, ckk, ohw, true, arena, gemmPar)
+		}
+		if dx == nil {
+			continue
+		}
+		// dcols [CKK, group·OHW] = Wᵀ [CKK,Cout] @ dy [Cout, group·OHW]
+		dcols := dx.data[s*chw:]
+		if !direct {
+			dcols = *dcp
+		}
+		gemmBatch(dcols, colStride, w.data, ckk, true,
+			dy.data[s*cout*ohw:], ohw, false, cout*ohw, cnt, ckk, ohw, cout, false, arena, gemmPar)
+		if !direct {
+			for i := 0; i < cnt; i++ {
+				col2im(dx.data[(s+i)*chw:(s+i+1)*chw], dcols[i*colStride:(i+1)*colStride], cin, h, wd, kh, kw, oh, ow, spec)
+			}
+		}
+	}
+	if dcp != nil {
+		arena.put(dcp)
+	}
+	if cp != nil {
+		arena.put(cp)
+	}
 }

@@ -8,8 +8,8 @@ import (
 
 // interiorRange returns the half-open output range [lo, hi) along one spatial
 // dimension for which the kernel window lies entirely inside the input, i.e.
-// no padding is touched. Outputs outside the range need per-tap bounds
-// checks; outputs inside it do not.
+// no padding is touched. Outputs outside the range have their window
+// clipped (clipTaps); outputs inside it use the whole kernel.
 func interiorRange(stride, pad, k, in, out int) (lo, hi int) {
 	lo = (pad + stride - 1) / stride
 	if lo > out {
@@ -29,13 +29,29 @@ func interiorRange(stride, pad, k, in, out int) (lo, hi int) {
 	return lo, hi
 }
 
+// clipTaps returns the half-open range [lo, hi) of kernel taps t in [0, k)
+// whose input coordinate i0+t lies inside [0, in) — the part of a window
+// starting at i0 that overlaps real data. The range is empty (lo >= hi) for
+// a window wholly in the padding.
+func clipTaps(i0, k, in int) (lo, hi int) {
+	return max(0, -i0), min(k, in-i0)
+}
+
 // dwGeom carries a depthwise convolution's resolved geometry to the
-// per-channel worker functions. Passed by value: no allocation.
+// per-channel worker functions. Passed by value: no allocation. Output
+// columns [oxLo, oxHi) see the full kernel width; the others clip it.
 type dwGeom struct {
-	h, w, kh, kw, oh, ow   int
-	strideH, strideW       int
-	padH, padW             int
-	oyLo, oyHi, oxLo, oxHi int
+	h, w, kh, kw, oh, ow int
+	strideH, strideW     int
+	padH, padW           int
+	oxLo, oxHi           int
+}
+
+func newDWGeom(h, w, kh, kw, oh, ow int, spec ConvSpec) dwGeom {
+	g := dwGeom{h: h, w: w, kh: kh, kw: kw, oh: oh, ow: ow,
+		strideH: spec.StrideH, strideW: spec.StrideW, padH: spec.PadH, padW: spec.PadW}
+	g.oxLo, g.oxHi = interiorRange(spec.StrideW, spec.PadW, kw, w, ow)
+	return g
 }
 
 // DepthwiseConv2D convolves each channel of x [N,C,H,W] with its own filter
@@ -61,10 +77,7 @@ func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
 	n, c, h, wd := x.Dim4()
 	_, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dst.Dim4()
-	g := dwGeom{h: h, w: wd, kh: kh, kw: kw, oh: oh, ow: ow,
-		strideH: spec.StrideH, strideW: spec.StrideW, padH: spec.PadH, padW: spec.PadW}
-	g.oyLo, g.oyHi = interiorRange(spec.StrideH, spec.PadH, kh, h, oh)
-	g.oxLo, g.oxHi = interiorRange(spec.StrideW, spec.PadW, kw, wd, ow)
+	g := newDWGeom(h, wd, kh, kw, oh, ow, spec)
 	if parallel.MaxWorkers() > 1 {
 		parallel.For(n*c, func(nc int) {
 			depthwiseForwardOne(dst, x, w, g, c, nc)
@@ -76,96 +89,102 @@ func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
 	}
 }
 
-// depthwiseForwardOne convolves one (sample, channel) plane. The interior
-// (windows fully inside the input) runs branch-free on subsliced rows; the
-// border runs the checked path.
+// depthwiseForwardOne convolves one (sample, channel) plane. The tap window
+// is clipped against the input once per output row, and once per output
+// column outside [oxLo, oxHi), so no tap is ever bounds-tested; taps run i
+// ascending then j ascending over the clipped window, which is the naive
+// checked loop's order with the skipped taps left out. Outputs whose window
+// spans the kernel's full width go as one run per row, with the 3- and 5-wide
+// rows of taps (all EfficientNet uses) unrolled.
 func depthwiseForwardOne(dst, x, w *Tensor, g dwGeom, c, nc int) {
-	h, wd, kh, kw, oh, ow := g.h, g.w, g.kh, g.kw, g.oh, g.ow
+	h, wd, kh, kw, oh, ow, sw := g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.strideW
 	ch := nc % c
 	xs := x.data[nc*h*wd : (nc+1)*h*wd]
 	ws := w.data[ch*kh*kw : (ch+1)*kh*kw]
 	os := dst.data[nc*oh*ow : (nc+1)*oh*ow]
-	// Hot interior: every kernel tap is in-bounds, so the loop body
-	// carries no branches and the compiler can elide bounds checks on
-	// the subsliced rows.
-	if kh == 3 && kw == 3 {
-		w0, w1, w2 := ws[0], ws[1], ws[2]
-		w3, w4, w5 := ws[3], ws[4], ws[5]
-		w6, w7, w8 := ws[6], ws[7], ws[8]
-		for oy := g.oyLo; oy < g.oyHi; oy++ {
-			iy0 := oy*g.strideH - g.padH
-			r0 := xs[iy0*wd : iy0*wd+wd]
-			r1 := xs[(iy0+1)*wd : (iy0+1)*wd+wd]
-			r2 := xs[(iy0+2)*wd : (iy0+2)*wd+wd]
-			orow := os[oy*ow : oy*ow+ow]
-			for ox := g.oxLo; ox < g.oxHi; ox++ {
-				ix0 := ox*g.strideW - g.padW
-				var acc float32
-				acc += r0[ix0] * w0
-				acc += r0[ix0+1] * w1
-				acc += r0[ix0+2] * w2
-				acc += r1[ix0] * w3
-				acc += r1[ix0+1] * w4
-				acc += r1[ix0+2] * w5
-				acc += r2[ix0] * w6
-				acc += r2[ix0+1] * w7
-				acc += r2[ix0+2] * w8
-				orow[ox] = acc
-			}
-		}
-	} else {
-		for oy := g.oyLo; oy < g.oyHi; oy++ {
-			iy0 := oy*g.strideH - g.padH
-			orow := os[oy*ow : oy*ow+ow]
-			for ox := g.oxLo; ox < g.oxHi; ox++ {
-				ix0 := ox*g.strideW - g.padW
-				var acc float32
-				for i := 0; i < kh; i++ {
-					xrow := xs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]
-					wrow := ws[i*kw : i*kw+kw]
-					for j, wv := range wrow {
-						acc += xrow[j] * wv
-					}
+	unrolled := (kw == 3 || kw == 5) && g.oxLo < g.oxHi
+	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*g.strideH - g.padH
+		iLo, iHi := clipTaps(iy0, kh, h)
+		orow := os[oy*ow : oy*ow+ow]
+		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*sw - g.padW
+			if unrolled && ox == g.oxLo && iLo < iHi {
+				run, xrun, wrows := orow[ox:g.oxHi], xs[(iy0+iLo)*wd+ix0:], ws[iLo*kw:iHi*kw]
+				switch {
+				case kw == 5:
+					depthwiseRun5(run, xrun, wrows, wd, sw)
+				case iHi-iLo == 3:
+					depthwiseRun3x3(run, xrun, wrows, wd, sw)
+				default:
+					depthwiseRun3(run, xrun, wrows, wd, sw)
 				}
-				orow[ox] = acc
-			}
-		}
-	}
-	// Border: windows that overhang the input run the checked path.
-	border := func(oy, ox int) {
-		var acc float32
-		for i := 0; i < kh; i++ {
-			iy := oy*g.strideH - g.padH + i
-			if iy < 0 || iy >= h {
+				ox = g.oxHi - 1
 				continue
 			}
-			for j := 0; j < kw; j++ {
-				ix := ox*g.strideW - g.padW + j
-				if ix < 0 || ix >= wd {
-					continue
+			jLo, jHi := clipTaps(ix0, kw, wd)
+			var acc float32
+			for i := iLo; i < iHi; i++ {
+				xo, wo := (iy0+i)*wd+ix0, i*kw
+				for j := jLo; j < jHi; j++ {
+					acc += xs[xo+j] * ws[wo+j]
 				}
-				acc += xs[iy*wd+ix] * ws[i*kw+j]
 			}
-		}
-		os[oy*ow+ox] = acc
-	}
-	for oy := 0; oy < g.oyLo; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			border(oy, ox)
+			orow[ox] = acc
 		}
 	}
-	for oy := g.oyHi; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			border(oy, ox)
-		}
+}
+
+// depthwiseRun3x3 computes a run of outputs whose windows span the full
+// width of a 3-wide kernel and three of its rows (ws): xs starts at the first
+// output's first tap, rows are wd apart and consecutive outputs sw apart.
+func depthwiseRun3x3(out, xs, ws []float32, wd, sw int) {
+	w0, w1, w2, w3, w4, w5, w6, w7, w8 := ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6], ws[7], ws[8]
+	x0, x1, x2 := xs, xs[wd:], xs[2*wd:]
+	for t := range out {
+		o := t * sw
+		r0, r1, r2 := x0[o:o+3:o+3], x1[o:o+3:o+3], x2[o:o+3:o+3]
+		var acc float32
+		acc += r0[0] * w0
+		acc += r0[1] * w1
+		acc += r0[2] * w2
+		acc += r1[0] * w3
+		acc += r1[1] * w4
+		acc += r1[2] * w5
+		acc += r2[0] * w6
+		acc += r2[1] * w7
+		acc += r2[2] * w8
+		out[t] = acc
 	}
-	for oy := g.oyLo; oy < g.oyHi; oy++ {
-		for ox := 0; ox < g.oxLo; ox++ {
-			border(oy, ox)
+}
+
+// depthwiseRun3 is depthwiseRun3x3 for any number of kernel rows, len(ws)/3.
+func depthwiseRun3(out, xs, ws []float32, wd, sw int) {
+	for t := range out {
+		var acc float32
+		for i, o := 0, t*sw; i+3 <= len(ws); i, o = i+3, o+wd {
+			r, k := xs[o:o+3:o+3], ws[i:i+3:i+3]
+			acc += r[0] * k[0]
+			acc += r[1] * k[1]
+			acc += r[2] * k[2]
 		}
-		for ox := g.oxHi; ox < ow; ox++ {
-			border(oy, ox)
+		out[t] = acc
+	}
+}
+
+// depthwiseRun5 is depthwiseRun3 for 5-wide kernel rows.
+func depthwiseRun5(out, xs, ws []float32, wd, sw int) {
+	for t := range out {
+		var acc float32
+		for i, o := 0, t*sw; i+5 <= len(ws); i, o = i+5, o+wd {
+			r, k := xs[o:o+5:o+5], ws[i:i+5:i+5]
+			acc += r[0] * k[0]
+			acc += r[1] * k[1]
+			acc += r[2] * k[2]
+			acc += r[3] * k[3]
+			acc += r[4] * k[4]
 		}
+		out[t] = acc
 	}
 }
 
@@ -199,10 +218,7 @@ func depthwiseConv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
 	n, c, h, wd := x.Dim4()
 	_, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dy.Dim4()
-	g := dwGeom{h: h, w: wd, kh: kh, kw: kw, oh: oh, ow: ow,
-		strideH: spec.StrideH, strideW: spec.StrideW, padH: spec.PadH, padW: spec.PadW}
-	g.oyLo, g.oyHi = interiorRange(spec.StrideH, spec.PadH, kh, h, oh)
-	g.oxLo, g.oxHi = interiorRange(spec.StrideW, spec.PadW, kw, wd, ow)
+	g := newDWGeom(h, wd, kh, kw, oh, ow, spec)
 	if parallel.MaxWorkers() > 1 {
 		parallel.For(c, func(ch int) {
 			depthwiseBackwardChannel(dx, dw, x, w, dy, g, n, c, ch)
@@ -215,14 +231,17 @@ func depthwiseConv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
 }
 
 // depthwiseBackwardChannel accumulates input and weight gradients for one
-// channel across all samples (weight gradients only when dx is nil). Outputs
-// are visited in row-major (oy, ox) order with kernel taps ascending, so
-// accumulation order — and therefore the float32 result — is identical to a
-// naive quadruple loop.
+// channel across all samples (weight gradients only when dx is nil), over
+// the windows depthwiseForwardOne clips. Every gradient element receives its
+// contributions in row-major order of the outputs that touch it — the naive
+// checked quadruple loop's order, so the float32 result is identical to it.
+// That leaves the full-width outputs of a row free to go one kernel row at a
+// time, which keeps that row's weights and weight gradients in registers.
 func depthwiseBackwardChannel(dx, dw, x, w, dy *Tensor, g dwGeom, n, c, ch int) {
-	h, wd, kh, kw, oh, ow := g.h, g.w, g.kh, g.kw, g.oh, g.ow
+	h, wd, kh, kw, oh, ow, sw := g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.strideW
 	ws := w.data[ch*kh*kw : (ch+1)*kh*kw]
 	dws := dw.data[ch*kh*kw : (ch+1)*kh*kw]
+	unrolled := dx != nil && (kw == 3 || kw == 5) && g.oxLo < g.oxHi
 	for s := 0; s < n; s++ {
 		nc := s*c + ch
 		xs := x.data[nc*h*wd : (nc+1)*h*wd]
@@ -231,68 +250,76 @@ func depthwiseBackwardChannel(dx, dw, x, w, dy *Tensor, g dwGeom, n, c, ch int) 
 			dxs = dx.data[nc*h*wd : (nc+1)*h*wd]
 		}
 		dys := dy.data[nc*oh*ow : (nc+1)*oh*ow]
-		// Checked path for the full window; shared by border outputs.
-		scatter := func(oy, ox int) {
-			gv := dys[oy*ow+ox]
-			for i := 0; i < kh; i++ {
-				iy := oy*g.strideH - g.padH + i
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for j := 0; j < kw; j++ {
-					ix := ox*g.strideW - g.padW + j
-					if ix < 0 || ix >= wd {
-						continue
-					}
-					if dxs != nil {
-						dxs[iy*wd+ix] += gv * ws[i*kw+j]
-					}
-					dws[i*kw+j] += gv * xs[iy*wd+ix]
-				}
-			}
-		}
-		for oy := 0; oy < g.oyLo; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				scatter(oy, ox)
-			}
-		}
-		for oy := g.oyLo; oy < g.oyHi; oy++ {
-			for ox := 0; ox < g.oxLo; ox++ {
-				scatter(oy, ox)
-			}
+		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*g.strideH - g.padH
-			for ox := g.oxLo; ox < g.oxHi; ox++ {
-				ix0 := ox*g.strideW - g.padW
-				gv := dys[oy*ow+ox]
-				if dxs == nil {
-					for i := 0; i < kh; i++ {
-						xrow := xs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]
-						dwrow := dws[i*kw : i*kw+kw]
-						for j := range dwrow {
-							dwrow[j] += gv * xrow[j]
+			iLo, iHi := clipTaps(iy0, kh, h)
+			dyrow := dys[oy*ow : oy*ow+ow]
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*sw - g.padW
+				if unrolled && ox == g.oxLo {
+					for i := iLo; i < iHi; i++ {
+						base := (iy0+i)*wd + ix0
+						if kw == 3 {
+							depthwiseGradRun3(dyrow[ox:g.oxHi], xs[base:], dxs[base:], ws[i*3:i*3+3], dws[i*3:i*3+3], sw)
+						} else {
+							depthwiseGradRun5(dyrow[ox:g.oxHi], xs[base:], dxs[base:], ws[i*5:i*5+5], dws[i*5:i*5+5], sw)
 						}
 					}
+					ox = g.oxHi - 1
 					continue
 				}
-				for i := 0; i < kh; i++ {
-					dxrow := dxs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]
-					xrow := xs[(iy0+i)*wd+ix0 : (iy0+i)*wd+ix0+kw]
-					wrow := ws[i*kw : i*kw+kw]
-					dwrow := dws[i*kw : i*kw+kw]
-					for j := range wrow {
-						dxrow[j] += gv * wrow[j]
-						dwrow[j] += gv * xrow[j]
+				jLo, jHi := clipTaps(ix0, kw, wd)
+				gv := dyrow[ox]
+				for i := iLo; i < iHi; i++ {
+					xo, wo := (iy0+i)*wd+ix0, i*kw
+					for j := jLo; j < jHi; j++ {
+						if dxs != nil {
+							dxs[xo+j] += gv * ws[wo+j]
+						}
+						dws[wo+j] += gv * xs[xo+j]
 					}
 				}
-			}
-			for ox := g.oxHi; ox < ow; ox++ {
-				scatter(oy, ox)
-			}
-		}
-		for oy := g.oyHi; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				scatter(oy, ox)
 			}
 		}
 	}
+}
+
+// depthwiseGradRun3 backpropagates one 3-wide kernel row through a run of
+// outputs whose windows span the full kernel width: xs and dxs start at the
+// first output's tap 0 of that row, consecutive outputs sw apart.
+func depthwiseGradRun3(dy, xs, dxs, w, dw []float32, sw int) {
+	w0, w1, w2 := w[0], w[1], w[2]
+	d0, d1, d2 := dw[0], dw[1], dw[2]
+	for t, gv := range dy {
+		o := t * sw
+		p, q := xs[o:o+3:o+3], dxs[o:o+3:o+3]
+		q[0] += gv * w0
+		q[1] += gv * w1
+		q[2] += gv * w2
+		d0 += gv * p[0]
+		d1 += gv * p[1]
+		d2 += gv * p[2]
+	}
+	dw[0], dw[1], dw[2] = d0, d1, d2
+}
+
+// depthwiseGradRun5 is depthwiseGradRun3 for a 5-wide kernel row.
+func depthwiseGradRun5(dy, xs, dxs, w, dw []float32, sw int) {
+	w0, w1, w2, w3, w4 := w[0], w[1], w[2], w[3], w[4]
+	d0, d1, d2, d3, d4 := dw[0], dw[1], dw[2], dw[3], dw[4]
+	for t, gv := range dy {
+		o := t * sw
+		p, q := xs[o:o+5:o+5], dxs[o:o+5:o+5]
+		q[0] += gv * w0
+		q[1] += gv * w1
+		q[2] += gv * w2
+		q[3] += gv * w3
+		q[4] += gv * w4
+		d0 += gv * p[0]
+		d1 += gv * p[1]
+		d2 += gv * p[2]
+		d3 += gv * p[3]
+		d4 += gv * p[4]
+	}
+	dw[0], dw[1], dw[2], dw[3], dw[4] = d0, d1, d2, d3, d4
 }

@@ -20,11 +20,33 @@
 // tile position, so results are independent of batch raggedness: batch-1
 // and batch-N runs produce bitwise-equal values.
 //
-// Convolutions lower onto that GEMM through im2col; pointwise 1×1 convs
-// skip the lowering entirely (stride 1 multiplies the activation matrix
-// in place; larger strides gather into a dense matrix first), and the
-// depthwise kernels split each plane into a branch-free interior and a
-// bounds-checked border (depthwise.go).
+// Convolutions lower onto that GEMM through im2col at batch width: one GEMM
+// per layer call (per group of samples, convFoldCols columns at most), not
+// one per sample. gemmBatch takes the weights as the shared A operand and the
+// samples' column matrices as (base, stride, count), folds the batch into the
+// column dimension, packs the weight panels once per (k-slab, row block) for
+// the whole group and packs the columns into shared 16-wide panels that cross
+// sample boundaries — so a 1×1 or 2×2 feature map fills micro-tiles instead
+// of zero-padding one per sample. A tile that spans samples is computed on
+// the stack and added back column by column; an element is still one
+// ascending-k chain through the same micro-kernels, so the fold does not
+// move a bit (TestBatchedConvMatchesPerSample holds it to the per-sample
+// loop). Forward and the input gradient go through gemmBatch; the weight
+// gradient stays one accumulating GEMM per sample, in sample order, because
+// folding its k dimension would change the summation order. Unit-stride
+// pointwise 1×1 convs skip the lowering (the activation is the column
+// matrix); im2col and col2im move each (tap, output row) as one clipped run —
+// zero margins, a copy or strided walk between them — with no per-element
+// bounds test.
+//
+// The depthwise kernels (depthwise.go) clip the tap window against the input
+// once per output row and once per edge column, then accumulate over the
+// clipped window with no per-tap test; outputs whose window spans the full
+// kernel width go as one run per row through unrolled 3- and 5-wide tap
+// rows, forward and backward. Taps are visited i then j ascending and every
+// gradient element receives its contributions in row-major output order, so
+// forward, dx and dw are bit-identical to the naive checked quadruple loop
+// (TestDepthwiseClippedMatchesNaive, FuzzDepthwiseClipped).
 //
 // # Element-wise kernels
 //
@@ -76,13 +98,13 @@
 //
 // # Scratch arenas
 //
-// Kernel temporaries — im2col column matrices, packing panels, gathered
-// 1×1 grids, per-worker weight-gradient partials — come from a Scratch
-// arena of size-classed buffer pools rather than make, so the Into
-// variants (Conv2DInto, Conv2DBackwardInto, MatMulInto, ...) allocate
-// nothing in steady state (proved by BenchmarkConv's allocs/op). Passing
-// a nil *Scratch uses a process-wide arena; the replica engine owns one
-// arena per engine and threads it through nn.Ctx.Scratch.
+// Kernel temporaries — im2col column matrices (sized to the group of samples
+// one GEMM folds), packing panels, per-worker weight-gradient partials —
+// come from a Scratch arena of size-classed buffer pools rather than make,
+// so the Into variants (Conv2DInto, Conv2DBackwardInto, MatMulInto, ...)
+// allocate nothing in steady state (proved by BenchmarkConv's allocs/op).
+// Passing a nil *Scratch uses a process-wide arena; the replica engine owns
+// one arena per engine and threads it through nn.Ctx.Scratch.
 //
 // # Correctness and performance harness
 //
@@ -91,10 +113,12 @@
 // k-proportional ULP tolerance, including zero-times-NaN propagation —
 // the kernels deliberately contain no sparsity skips, since 0·NaN must
 // stay NaN. fuzz_test.go extends the oracles over fuzzed shapes and pins
-// the im2col/col2im adjoint identity; seed corpora live under testdata.
-// Performance is gated by cmd/benchdiff comparing BenchmarkStep /
-// BenchmarkMatMul / BenchmarkConv / BenchmarkElementwise against the
-// committed BENCH_BASELINE.json in CI.
+// the im2col/col2im adjoint identity; batched_test.go holds the batched
+// GEMM and the clipped-window depthwise kernels bit for bit to the
+// per-sample and per-tap-checked loops they replaced; seed corpora live
+// under testdata. Performance is gated by cmd/benchdiff comparing
+// BenchmarkStep / BenchmarkMatMul / BenchmarkConv / BenchmarkElementwise
+// against the committed BENCH_BASELINE.json in CI.
 //
 // Seams: Tensor is the storage type everything above shares; kernels
 // parallelize through package parallel so host-CPU parallelism policy stays

@@ -83,39 +83,52 @@ func MatMulTB(a, b *Tensor) *Tensor {
 // corresponding flag is set. lda/ldb are the leading (row) strides of the
 // *stored* layouts: element A[i,p] lives at a[i*lda+p] (or a[p*lda+i] when
 // at), and B[p,j] at b[p*ldb+j] (or b[j*ldb+p] when bt). dst is row-major
-// [m,n] with stride n. Temporaries come from sc (nil = default arena). When
-// par is set the row blocks of each k-slab run on parallel workers; callers
-// already inside a parallel region (per-sample convolution loops) pass
-// par=false to avoid nested fan-out.
+// [m,n] with stride n. It is gemmBatch over a single sample.
 func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt bool, m, n, k int, accumulate bool, sc *Scratch, par bool) {
-	if m <= 0 || n <= 0 {
+	gemmBatch(dst, 0, a, lda, at, b, ldb, bt, 0, 1, m, n, k, accumulate, sc, par)
+}
+
+// gemmBatch computes dst_s[m,n] (+)= op(A) @ op(B_s) for count samples that
+// share the A operand (a convolution's weights): B_s starts at b[s*bStride]
+// and dst_s at dst[s*dStride], each laid out as gemm describes. The batch is
+// folded into the column dimension: the product runs as one
+// [m,k] @ [k,count*n] GEMM whose column s*n+j is column j of sample s. A's
+// panels are therefore packed once per (k-slab, row block) for the whole
+// batch, and samples narrower than gemmNR share micro-tiles instead of each
+// zero-padding one. Every output element is still one ascending-k chain
+// through the same micro-kernels, so its bits do not depend on count.
+// Temporaries come from sc (nil = default arena). When par is set the row
+// blocks of each k-slab run on parallel workers; callers already inside a
+// parallel region pass par=false to avoid nested fan-out.
+func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []float32, ldb int, bt bool, bStride, count, m, n, k int, accumulate bool, sc *Scratch, par bool) {
+	if m <= 0 || n <= 0 || count <= 0 {
 		return
 	}
 	arena := sc.orDefault()
 	if !accumulate {
-		clear(dst[:m*n])
+		for s := 0; s < count; s++ {
+			clear(dst[s*dStride : s*dStride+m*n])
+		}
 	}
 	if k <= 0 {
 		return
 	}
-	npad := (n + gemmNR - 1) / gemmNR * gemmNR
-	bpPtr := arena.get(gemmKC * npad)
+	cols := count * n
+	npad := (cols + gemmNR - 1) / gemmNR * gemmNR
+	bpPtr := arena.get(min(k, gemmKC) * npad)
 	bp := *bpPtr
 	for p0 := 0; p0 < k; p0 += gemmKC {
-		kl := k - p0
-		if kl > gemmKC {
-			kl = gemmKC
-		}
-		packB(bp, b, ldb, bt, n, p0, kl)
+		kl := min(k-p0, gemmKC)
+		packB(bp, b, ldb, bt, bStride, n, cols, p0, kl)
 		nBlocks := (m + gemmMC - 1) / gemmMC
-		if par && nBlocks > 1 {
+		if par && nBlocks > 1 && parallel.MaxWorkers() > 1 {
 			// The closure is evaluated only on this branch, so the serial
 			// path below stays allocation-free.
 			parallel.ForChunked(nBlocks, 1, func(blo, bhi int) {
-				gemmRowBlocks(dst, a, lda, at, bp, arena, m, n, p0, kl, blo, bhi)
+				gemmRowBlocks(dst, dStride, a, lda, at, bp, arena, m, n, cols, p0, kl, blo, bhi)
 			})
 		} else {
-			gemmRowBlocks(dst, a, lda, at, bp, arena, m, n, p0, kl, 0, nBlocks)
+			gemmRowBlocks(dst, dStride, a, lda, at, bp, arena, m, n, cols, p0, kl, 0, nBlocks)
 		}
 	}
 	arena.put(bpPtr)
@@ -123,32 +136,45 @@ func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt
 
 // gemmRowBlocks processes row blocks [blo, bhi) of one k-slab: pack each
 // gemmMC-row block of op(A) and sweep its micro-tiles against the packed B
-// slab bp. A named function (not a closure) so the serial gemm path performs
-// no per-call allocations.
-func gemmRowBlocks(dst, a []float32, lda int, at bool, bp []float32, arena *Scratch, m, n, p0, kl, blo, bhi int) {
+// slab bp, whose cols columns are the batch's samples side by side, n each.
+// A named function (not a closure) so the serial gemm path performs no
+// per-call allocations.
+func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, bp []float32, arena *Scratch, m, n, cols, p0, kl, blo, bhi int) {
 	apPtr := arena.get(gemmMC * gemmKC)
 	ap := *apPtr
 	for bi := blo; bi < bhi; bi++ {
 		i0 := bi * gemmMC
-		rows := m - i0
-		if rows > gemmMC {
-			rows = gemmMC
-		}
+		rows := min(m-i0, gemmMC)
 		packA(ap, a, lda, at, i0, rows, p0, kl)
-		for ir := 0; ir < rows; ir += gemmMR {
-			tr := rows - ir
-			if tr > gemmMR {
-				tr = gemmMR
-			}
-			apanel := ap[(ir/gemmMR)*kl*gemmMR:]
-			drow := dst[(i0+ir)*n:]
-			for jr := 0; jr < n; jr += gemmNR {
-				tc := n - jr
-				if tc > gemmNR {
-					tc = gemmNR
+		s, j := 0, 0 // sample, and column within it, of the column panel's first column
+		for jr := 0; jr < cols; jr += gemmNR {
+			tc := min(cols-jr, gemmNR)
+			bpanel := bp[(jr/gemmNR)*kl*gemmNR:]
+			for ir := 0; ir < rows; ir += gemmMR {
+				tr := min(rows-ir, gemmMR)
+				apanel := ap[(ir/gemmMR)*kl*gemmMR:]
+				if j+tc <= n {
+					// The tile sits inside one sample: accumulate in place.
+					microTile(dst[s*dStride+(i0+ir)*n+j:], n, apanel, bpanel, kl, tr, tc)
+					continue
 				}
-				bpanel := bp[(jr/gemmNR)*kl*gemmNR:]
-				microTile(drow[jr:], n, apanel, bpanel, kl, tr, tc)
+				// The tile spans samples: compute it on the stack (from
+				// zero, as the micro-kernels' own ragged-edge path does)
+				// and add each column into its sample.
+				var tile [gemmMR * gemmNR]float32
+				microTile(tile[:], gemmNR, apanel, bpanel, kl, tr, tc)
+				for c, cs, cj := 0, s, j; c < tc; c++ {
+					d := dst[cs*dStride+(i0+ir)*n+cj:]
+					for r := 0; r < tr; r++ {
+						d[r*n] += tile[r*gemmNR+c]
+					}
+					if cj++; cj == n {
+						cs, cj = cs+1, 0
+					}
+				}
+			}
+			for j += tc; j >= n; j -= n {
+				s++
 			}
 		}
 	}
@@ -344,48 +370,48 @@ func packA(dst, a []float32, lda int, trans bool, i0, rows, p0, kl int) {
 	}
 }
 
-// packB packs all n columns of op(B), k-slab [p0, p0+kl), into gemmNR-wide
-// k-major column panels, zero-padding the ragged column tail.
-func packB(dst, b []float32, ldb int, trans bool, n, p0, kl int) {
-	for q := 0; q*gemmNR < n; q++ {
+// packB packs the k-slab [p0, p0+kl) of the batch's cols = count*n columns
+// (column s*n+j is column j of op(B_s), B_s at b[s*bStride]) into gemmNR-wide
+// k-major column panels, zero-padding the ragged tail. A panel is filled run
+// by run, a run being the columns it takes from one sample, so panels cross
+// sample boundaries whenever n is not a multiple of gemmNR.
+func packB(dst, b []float32, ldb int, trans bool, bStride, n, cols, p0, kl int) {
+	s, j := 0, 0 // sample and column within it of the next column to pack
+	for q := 0; q*gemmNR < cols; q++ {
 		panel := dst[q*kl*gemmNR : (q+1)*kl*gemmNR]
-		j0 := q * gemmNR
-		pc := n - j0
-		if pc > gemmNR {
-			pc = gemmNR
+		pc := min(cols-q*gemmNR, gemmNR)
+		if pc < gemmNR {
+			clear(panel)
 		}
-		if !trans {
-			// B row-major [k, n]: each k step's panel cols are contiguous.
-			if pc == gemmNR {
+		for c := 0; c < pc; {
+			run := min(pc-c, n-j)
+			if run == gemmNR && !trans {
+				// B row-major [k, n]: each k step's panel cols are contiguous.
+				src := b[s*bStride+p0*ldb+j:]
 				for kk := 0; kk < kl; kk++ {
-					s := b[(p0+kk)*ldb+j0 : (p0+kk)*ldb+j0+gemmNR : (p0+kk)*ldb+j0+gemmNR]
-					copy(panel[kk*gemmNR:kk*gemmNR+gemmNR], s)
+					// Through a local: a direct array-to-array assignment
+					// may alias and compiles to a memmove call.
+					row := *(*[gemmNR]float32)(src[kk*ldb:])
+					*(*[gemmNR]float32)(panel[kk*gemmNR:]) = row
 				}
 			} else {
-				for kk := 0; kk < kl; kk++ {
-					d := panel[kk*gemmNR : kk*gemmNR+gemmNR : kk*gemmNR+gemmNR]
-					for c := 0; c < gemmNR; c++ {
-						if c < pc {
-							d[c] = b[(p0+kk)*ldb+j0+c]
-						} else {
-							d[c] = 0
-						}
+				// Column by column: a column's k steps are ldb apart, and
+				// adjacent columns 1 apart, unless B is stored transposed
+				// ([n, k]), which swaps the two.
+				o, kStep, cStep := s*bStride+p0*ldb+j, ldb, 1
+				if trans {
+					o, kStep, cStep = s*bStride+j*ldb+p0, 1, ldb
+				}
+				for r := 0; r < run; r++ {
+					col := b[o+r*cStep:]
+					for kk := 0; kk < kl; kk++ {
+						panel[kk*gemmNR+c+r] = col[kk*kStep]
 					}
 				}
 			}
-			continue
-		}
-		// Bᵀ stored [n, k]: each column is a contiguous k run.
-		for c := 0; c < gemmNR; c++ {
-			if c < pc {
-				src := b[(j0+c)*ldb+p0 : (j0+c)*ldb+p0+kl]
-				for kk := 0; kk < kl; kk++ {
-					panel[kk*gemmNR+c] = src[kk]
-				}
-			} else {
-				for kk := 0; kk < kl; kk++ {
-					panel[kk*gemmNR+c] = 0
-				}
+			c += run
+			if j += run; j == n {
+				s, j = s+1, 0
 			}
 		}
 	}

@@ -178,12 +178,23 @@ func (t *Tensor) String() string {
 }
 
 // --- Element-wise kernels -------------------------------------------------
+//
+// Each kernel takes its plain serial loop when there is one worker and only
+// otherwise builds the closure parallel.ForChunked needs: the closure is a
+// heap allocation (and an indirect call per chunk or row) that a one-proc
+// step or request would pay on every call.
 
 // binary applies op element-wise into a fresh tensor.
 func binary(op string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
 	assertSameShape(op, a, b)
 	out := New(a.shape...)
 	ad, bd, od := a.data, b.data, out.data
+	if parallel.MaxWorkers() == 1 {
+		for i := range od {
+			od[i] = f(ad[i], bd[i])
+		}
+		return out
+	}
 	parallel.ForChunked(len(ad), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = f(ad[i], bd[i])
@@ -216,6 +227,12 @@ func Div(a, b *Tensor) *Tensor {
 func AddInto(dst, src *Tensor) {
 	assertSameShape("AddInto", dst, src)
 	dd, sd := dst.data, src.data
+	if parallel.MaxWorkers() == 1 {
+		for i := range dd {
+			dd[i] += sd[i]
+		}
+		return
+	}
 	parallel.ForChunked(len(dd), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dd[i] += sd[i]
@@ -225,19 +242,20 @@ func AddInto(dst, src *Tensor) {
 
 // Scale returns a*s element-wise.
 func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	ad, od := a.data, out.data
-	parallel.ForChunked(len(ad), 2048, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] * s
-		}
-	})
+	out := a.Clone()
+	out.ScaleInPlace(s)
 	return out
 }
 
 // ScaleInPlace multiplies every element of t by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	d := t.data
+	if parallel.MaxWorkers() == 1 {
+		for i := range d {
+			d[i] *= s
+		}
+		return
+	}
 	parallel.ForChunked(len(d), 2048, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d[i] *= s
@@ -249,6 +267,12 @@ func (t *Tensor) ScaleInPlace(s float32) {
 func AxpyInto(dst *Tensor, alpha float32, src *Tensor) {
 	assertSameShape("AxpyInto", dst, src)
 	dd, sd := dst.data, src.data
+	if parallel.MaxWorkers() == 1 {
+		for i := range dd {
+			dd[i] += alpha * sd[i]
+		}
+		return
+	}
 	parallel.ForChunked(len(dd), 2048, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dd[i] += alpha * sd[i]
@@ -312,35 +336,56 @@ func AddChannel(x, b *Tensor) *Tensor {
 	}
 	out := New(x.shape...)
 	hw := h * w
-	xd, bd, od := x.data, b.data, out.data
-	parallel.For(n*c, func(nc int) {
-		bias := bd[nc%c]
-		base := nc * hw
-		for i := 0; i < hw; i++ {
-			od[base+i] = xd[base+i] + bias
+	if parallel.MaxWorkers() == 1 {
+		for nc := 0; nc < n*c; nc++ {
+			addChannelRow(out.data, x.data, b.data[nc%c], nc*hw, hw)
 		}
+		return out
+	}
+	parallel.For(n*c, func(nc int) {
+		addChannelRow(out.data, x.data, b.data[nc%c], nc*hw, hw)
 	})
 	return out
+}
+
+func addChannelRow(out, x []float32, bias float32, base, hw int) {
+	for i := base; i < base+hw; i++ {
+		out[i] = x[i] + bias
+	}
 }
 
 // MulChannelNC multiplies x (shape [N,C,H,W]) by per-sample-per-channel scale
 // s (shape [N,C]), broadcasting over H and W. Used by squeeze-excitation.
 func MulChannelNC(x, s *Tensor) *Tensor {
+	out := New(x.shape...)
+	MulChannelNCInto(out, x, s)
+	return out
+}
+
+// MulChannelNCInto is MulChannelNC writing into dst, which must have x's
+// shape and may be x itself.
+func MulChannelNCInto(dst, x, s *Tensor) {
 	n, c, h, w := x.Dim4()
 	if s.Rank() != 2 || s.Dim(0) != n || s.Dim(1) != c {
 		panic(fmt.Sprintf("tensor: MulChannelNC scale shape %v does not match [%d,%d]", s.shape, n, c))
 	}
-	out := New(x.shape...)
+	assertSameShape("MulChannelNCInto", dst, x)
 	hw := h * w
-	xd, sd, od := x.data, s.data, out.data
-	parallel.For(n*c, func(nc int) {
-		scale := sd[nc]
-		base := nc * hw
-		for i := 0; i < hw; i++ {
-			od[base+i] = xd[base+i] * scale
+	if parallel.MaxWorkers() == 1 {
+		for nc := 0; nc < n*c; nc++ {
+			mulChannelRow(dst.data, x.data, s.data[nc], nc*hw, hw)
 		}
+		return
+	}
+	parallel.For(n*c, func(nc int) {
+		mulChannelRow(dst.data, x.data, s.data[nc], nc*hw, hw)
 	})
-	return out
+}
+
+func mulChannelRow(out, x []float32, scale float32, base, hw int) {
+	for i := base; i < base+hw; i++ {
+		out[i] = x[i] * scale
+	}
 }
 
 // SumChannelNC reduces x (shape [N,C,H,W]) over H and W into shape [N,C].
@@ -348,16 +393,25 @@ func SumChannelNC(x *Tensor) *Tensor {
 	n, c, h, w := x.Dim4()
 	out := New(n, c)
 	hw := h * w
-	xd, od := x.data, out.data
-	parallel.For(n*c, func(nc int) {
-		base := nc * hw
-		var s float64
-		for i := 0; i < hw; i++ {
-			s += float64(xd[base+i])
+	if parallel.MaxWorkers() == 1 {
+		for nc := 0; nc < n*c; nc++ {
+			out.data[nc] = sumRow(x.data[nc*hw : (nc+1)*hw])
 		}
-		od[nc] = float32(s)
+		return out
+	}
+	parallel.For(n*c, func(nc int) {
+		out.data[nc] = sumRow(x.data[nc*hw : (nc+1)*hw])
 	})
 	return out
+}
+
+// sumRow sums one (sample, channel) row in float64.
+func sumRow(row []float32) float32 {
+	var s float64
+	for _, v := range row {
+		s += float64(v)
+	}
+	return float32(s)
 }
 
 // Dim4 returns the four dimensions of an NCHW tensor, panicking if rank != 4.
