@@ -766,7 +766,6 @@ func BenchmarkBatchedInference(b *testing.B) {
 			bt, err := serve.NewBatcher(serve.Config{
 				Provider: serve.Static{M: m, Tag: "bench"},
 				MaxBatch: size,
-				MaxWait:  500 * time.Microsecond,
 				Sinks:    []serve.Sink{serve.NewJSONL(io.Discard)},
 			})
 			if err != nil {

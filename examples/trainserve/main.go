@@ -80,7 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer loader.Close()
-	batcher, err := serve.NewBatcher(serve.Config{Provider: loader, MaxBatch: 8, MaxWait: time.Millisecond})
+	batcher, err := serve.NewBatcher(serve.Config{Provider: loader, MaxBatch: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

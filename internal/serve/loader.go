@@ -31,7 +31,9 @@ type LoaderConfig struct {
 	// stalls further reloads and Close).
 	OnSwap func(tag string)
 	// OnError, when non-nil, receives watch-loop errors (an unreadable new
-	// snapshot). The loader keeps serving the old model and keeps watching.
+	// snapshot, or one whose model family, class count or resolution differs
+	// from the booted model's). The loader keeps serving the old model and
+	// keeps watching.
 	OnError func(err error)
 }
 
@@ -105,8 +107,9 @@ func (l *Loader) Close() {
 }
 
 // watch polls the snapshot directory and swaps in any snapshot newer than
-// the one currently serving. Weights always load into a FRESH model — the
-// serving model is read concurrently by workers and must never be mutated.
+// the one currently serving whose model has the booted geometry. Weights
+// always load into a FRESH model — the serving model is read concurrently by
+// workers and must never be mutated.
 func (l *Loader) watch() {
 	defer close(l.done)
 	ticker := time.NewTicker(l.cfg.Poll)
@@ -132,6 +135,14 @@ func (l *Loader) watch() {
 		lm, err := loadModel(newest)
 		if err != nil {
 			l.reportError(fmt.Errorf("serve: hot reload %s: %w", newest, err))
+			continue
+		}
+		// Batchers size requests and replies from the booted model, so a
+		// snapshot of another geometry would fail every request it served.
+		if got, want := lm.m.Config, l.cur.Load().m.Config; got.Name != want.Name ||
+			got.NumClasses != want.NumClasses || got.Resolution != want.Resolution {
+			l.reportError(fmt.Errorf("serve: hot reload %s: snapshot is %s with %d classes @ res %d, serving %s with %d classes @ res %d; not swapped",
+				newest, got.Name, got.NumClasses, got.Resolution, want.Name, want.NumClasses, want.Resolution))
 			continue
 		}
 		l.cur.Store(lm)

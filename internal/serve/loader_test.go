@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,12 +45,13 @@ func logitsOf(t *testing.T, p ModelProvider) []float32 {
 	return pred.Logits
 }
 
+// sameLogits reports whether a and b are bitwise equal.
 func sameLogits(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}
 	}
@@ -119,7 +121,7 @@ func TestLoaderHotReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	b, err := NewBatcher(Config{Provider: l, MaxBatch: 4, MaxWait: time.Millisecond})
+	b, err := NewBatcher(Config{Provider: l, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +206,55 @@ func TestLoaderKeepsServingOnCorruptSnapshot(t *testing.T) {
 	}
 	if l.Reloads() != 0 {
 		t.Errorf("reloads %d, want 0", l.Reloads())
+	}
+}
+
+// TestLoaderRejectsGeometryChange: a newer snapshot of another class count
+// must not replace the serving model — every request would then fail the
+// batcher's shape check. The loader reports it naming both geometries,
+// keeps serving the old weights, and does not count a reload.
+func TestLoaderRejectsGeometryChange(t *testing.T) {
+	dir := t.TempDir()
+	writeSnapshot(t, dir, 1, testModel(t, 1, 4, 16))
+	errc := make(chan error, 1)
+	l, err := NewLoader(LoaderConfig{
+		SnapshotDir: dir,
+		Poll:        5 * time.Millisecond,
+		OnError: func(err error) {
+			select {
+			case errc <- err:
+			default: // reported again every poll
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	b, err := NewBatcher(Config{Provider: l, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	writeSnapshot(t, dir, 2, testModel(t, 2, 6, 16))
+	select {
+	case err := <-errc:
+		for _, s := range []string{"step-000000002.ckpt", "6 classes @ res 16", "4 classes @ res 16"} {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("error does not name %q: %v", s, err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("geometry change never reported")
+	}
+	if _, tag := l.Current(); tag != "step-000000001.ckpt" {
+		t.Errorf("serving %q, want step-000000001.ckpt", tag)
+	}
+	if n := l.Reloads(); n != 0 {
+		t.Errorf("reloads %d, want 0", n)
+	}
+	if _, err := b.Predict(testPixels(b.SampleLen(), 1)); err != nil {
+		t.Errorf("predict after rejected reload: %v", err)
 	}
 }
 

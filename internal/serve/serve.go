@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -48,16 +49,17 @@ type Config struct {
 	// Provider supplies the model (required). Its model's resolution and
 	// class count fix the request shape.
 	Provider ModelProvider
-	// MaxBatch is the coalescing limit: a full batch flushes immediately.
-	// Defaults to 32.
+	// MaxBatch is the coalescing limit: a worker takes at most this many
+	// queued requests into one forward. Defaults to 32.
 	MaxBatch int
-	// MaxWait bounds how long the oldest queued request waits for the batch
-	// to fill before a partial batch flushes. Defaults to 2ms.
+	// MaxWait is ignored: a worker never waits for a batch to fill.
+	//
+	// Deprecated: ignored.
 	MaxWait time.Duration
 	// Workers is the number of concurrent inference workers. Defaults to 1;
 	// raise it when forwards underuse the host (small batches, multi-core).
 	Workers int
-	// QueueCap bounds queued-but-undispatched requests; beyond it Predict
+	// QueueCap bounds requests no worker has taken yet; beyond it Predict
 	// sheds load with ErrOverloaded. Defaults to 4×MaxBatch (min 16).
 	QueueCap int
 	// Precision is the inference mixed-precision policy. The zero value is
@@ -106,23 +108,21 @@ type Batcher struct {
 	sampleLen int // 3 × res × res
 
 	queue chan *request
-	work  chan []*request
 
 	mu     sync.RWMutex // guards closed ↔ queue sends (close-vs-send race)
 	closed bool
 
-	dispatcherDone chan struct{}
-	workers        sync.WaitGroup
-	closeOnce      sync.Once
-	closeErr       error
+	workers   sync.WaitGroup
+	closeOnce sync.Once
+	closeErr  error
 
 	pool  *data.BufferPool
 	stats *Stats
 	sinks []Sink
 }
 
-// NewBatcher validates cfg, applies defaults, and starts the dispatcher and
-// worker goroutines.
+// NewBatcher validates cfg, applies defaults, and starts the worker
+// goroutines.
 func NewBatcher(cfg Config) (*Batcher, error) {
 	if cfg.Provider == nil {
 		return nil, fmt.Errorf("serve: Config.Provider is required")
@@ -132,12 +132,6 @@ func NewBatcher(cfg Config) (*Batcher, error) {
 	}
 	if cfg.MaxBatch < 1 {
 		return nil, fmt.Errorf("serve: MaxBatch %d must be >= 1", cfg.MaxBatch)
-	}
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = 2 * time.Millisecond
-	}
-	if cfg.MaxWait < 0 {
-		return nil, fmt.Errorf("serve: MaxWait %v must be >= 0", cfg.MaxWait)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
@@ -160,20 +154,17 @@ func NewBatcher(cfg Config) (*Batcher, error) {
 	}
 	res := m.Config.Resolution
 	b := &Batcher{
-		cfg:            cfg,
-		res:            res,
-		classes:        m.Config.NumClasses,
-		sampleLen:      3 * res * res,
-		queue:          make(chan *request, cfg.QueueCap),
-		work:           make(chan []*request),
-		dispatcherDone: make(chan struct{}),
+		cfg:       cfg,
+		res:       res,
+		classes:   m.Config.NumClasses,
+		sampleLen: 3 * res * res,
+		queue:     make(chan *request, cfg.QueueCap),
 		// One pooled input tensor per worker: a worker holds at most one
 		// batch buffer at a time, so Get below never blocks.
 		pool:  data.NewBufferPool(cfg.Workers, cfg.MaxBatch, res),
 		stats: NewStats(cfg.MaxBatch),
 	}
 	b.sinks = append([]Sink{b.stats}, cfg.Sinks...)
-	go b.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
 		b.workers.Add(1)
 		go b.worker()
@@ -220,73 +211,41 @@ func (b *Batcher) Predict(pixels []float32) (Prediction, error) {
 	return res.pred, res.err
 }
 
-// dispatch is the coalescing loop: it owns the pending batch and flushes on
-// max-batch-size or the max-wait deadline, whichever comes first.
-func (b *Batcher) dispatch() {
-	defer close(b.dispatcherDone)
-	defer close(b.work)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive && !timer.Stop() {
-			<-timer.C
+// worker pulls batches from the queue until Close has closed it and it is
+// drained. It blocks only for a batch's first request; the rest of the batch
+// is whatever is already queued, so a lone request runs at once and a busy
+// worker's backlog becomes its next batch. When the queue runs dry before
+// the batch is full, the worker yields once and takes what arrived: callers
+// that are runnable but have not yet run (on one proc, every other caller)
+// get to enqueue first, instead of the worker starving its own batch.
+func (b *Batcher) worker() {
+	defer b.workers.Done()
+	reqs := make([]*request, 0, b.cfg.MaxBatch)
+	for r := range b.queue {
+		reqs = b.take(append(reqs[:0], r))
+		if len(reqs) < b.cfg.MaxBatch {
+			runtime.Gosched()
+			reqs = b.take(reqs)
 		}
-		timerLive = false
-	}
-	var pending []*request
-	flush := func() {
-		stopTimer()
-		if len(pending) == 0 {
-			return
-		}
-		// An unbuffered work channel is deliberate backpressure: when every
-		// worker is busy the dispatcher blocks here, the queue fills, and
-		// Predict starts shedding — saturation surfaces at admission.
-		b.work <- pending
-		pending = nil
-	}
-	for {
-		if len(pending) == 0 {
-			r, ok := <-b.queue
-			if !ok {
-				return
-			}
-			pending = append(pending, r)
-			if len(pending) >= b.cfg.MaxBatch {
-				flush()
-				continue
-			}
-			timer.Reset(b.cfg.MaxWait)
-			timerLive = true
-		}
-		select {
-		case r, ok := <-b.queue:
-			if !ok {
-				// Close drained the senders; serve what we already hold.
-				flush()
-				return
-			}
-			pending = append(pending, r)
-			if len(pending) >= b.cfg.MaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
-		}
+		b.runBatch(reqs)
 	}
 }
 
-// worker runs coalesced batches until the dispatcher closes the work
-// channel.
-func (b *Batcher) worker() {
-	defer b.workers.Done()
-	for reqs := range b.work {
-		b.runBatch(reqs)
+// take appends queued requests to reqs, without blocking, until the batch
+// is full or the queue is empty.
+func (b *Batcher) take(reqs []*request) []*request {
+	for len(reqs) < b.cfg.MaxBatch {
+		select {
+		case r, ok := <-b.queue:
+			if !ok {
+				return reqs
+			}
+			reqs = append(reqs, r)
+		default:
+			return reqs
+		}
 	}
+	return reqs
 }
 
 // runBatch copies the requests into a pooled input tensor, captures the
@@ -362,7 +321,6 @@ func (b *Batcher) Close() error {
 		b.closed = true
 		close(b.queue)
 		b.mu.Unlock()
-		<-b.dispatcherDone
 		b.workers.Wait()
 		for _, s := range b.sinks {
 			if err := s.Close(); err != nil && b.closeErr == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,10 +50,11 @@ func newTestBatcher(t *testing.T, cfg Config) *Batcher {
 	return b
 }
 
-// TestDeadlineFlushSingleRequest: a lone request must not wait for the batch
-// to fill — the MaxWait deadline flushes a partial batch of one.
-func TestDeadlineFlushSingleRequest(t *testing.T) {
-	b := newTestBatcher(t, Config{MaxBatch: 32, MaxWait: 2 * time.Millisecond})
+// TestLoneRequestDispatchesWithoutWaiting: a lone request must not wait for
+// the batch to fill — an idle worker runs it at once as a batch of one. The
+// hour-long MaxWait is ignored; a batcher that honoured it would hang here.
+func TestLoneRequestDispatchesWithoutWaiting(t *testing.T) {
+	b := newTestBatcher(t, Config{MaxBatch: 32, MaxWait: time.Hour})
 	start := time.Now()
 	p, err := b.Predict(testPixels(b.SampleLen(), 7))
 	if err != nil {
@@ -70,19 +72,24 @@ func TestDeadlineFlushSingleRequest(t *testing.T) {
 	if p.Model != "test" {
 		t.Errorf("model tag %q, want %q", p.Model, "test")
 	}
-	// Generous bound: the point is that it returned via the deadline, not
-	// after 32 requests that will never come.
+	// Generous bound: the point is that it returned at all, not after 32
+	// requests that will never come or an hour's wait.
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("lone request took %v", wall)
 	}
 }
 
-// TestMaxBatchFlushUnderBurst: with an effectively infinite deadline, a
-// burst must be served in exactly MaxBatch-sized batches — the size trigger,
-// isolated from the timer.
+// TestMaxBatchFlushUnderBurst: a burst that queues up behind a busy worker
+// must be served in exactly MaxBatch-sized batches. The worker is pinned on
+// a first request until the whole burst is queued, so the batches do not
+// depend on when each caller gets scheduled (with a free worker, the first
+// caller to arrive rightly runs at once, alone or with whoever has queued).
 func TestMaxBatchFlushUnderBurst(t *testing.T) {
 	const maxBatch, n = 4, 12
-	b := newTestBatcher(t, Config{MaxBatch: maxBatch, MaxWait: time.Hour})
+	gate := newGatedProvider(testModel(t, 1, 4, 16))
+	b := newTestBatcher(t, Config{Provider: gate, MaxBatch: maxBatch})
+	pinned := enqueue(b, n)
+	<-gate.first
 	var wg sync.WaitGroup
 	sizes := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -97,18 +104,66 @@ func TestMaxBatchFlushUnderBurst(t *testing.T) {
 			sizes[i] = p.BatchSize
 		}(i)
 	}
-	wg.Wait()
-	for i, s := range sizes {
-		if s != maxBatch {
-			t.Errorf("request %d rode batch of %d, want %d (timer should never fire)", i, s, maxBatch)
+	for deadline := time.Now().Add(10 * time.Second); len(b.queue) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(gate.release)
+			t.Fatalf("only %d of %d requests queued", len(b.queue), n)
 		}
 	}
+	close(gate.release)
+	wg.Wait()
+	<-pinned.resp
+	for i, s := range sizes {
+		if s != maxBatch {
+			t.Errorf("request %d rode batch of %d, want %d", i, s, maxBatch)
+		}
+	}
+	b.Close() // the last batch's stats land after its replies
 	snap := b.Stats()
-	if snap.Requests != n || snap.Batches != n/maxBatch {
-		t.Errorf("stats: %d requests in %d batches, want %d in %d", snap.Requests, snap.Batches, n, n/maxBatch)
+	if snap.Requests != n+1 || snap.Batches != n/maxBatch+1 {
+		t.Errorf("stats: %d requests in %d batches, want %d in %d", snap.Requests, snap.Batches, n+1, n/maxBatch+1)
 	}
 	if snap.BatchHist[maxBatch] != n/maxBatch {
 		t.Errorf("histogram at size %d: %d, want %d", maxBatch, snap.BatchHist[maxBatch], n/maxBatch)
+	}
+}
+
+// TestOneProcBacklogFillsBatches pins the worker's yield. On one proc, when
+// the worker has answered a batch, the callers that will make up the next
+// one are runnable but have not run; a worker that took only what was queued
+// at that moment would alternate between a batch of one and a batch of the
+// rest (an average of 4 here, or 1 with GOMAXPROCS=1 set before start).
+// Yielding once lets them all enqueue first. The bar is not 0.9: Gosched
+// parks the worker on the global run queue, which the scheduler serves
+// ahead of the local one on every 61st schedule, so some batches still run
+// short; the average reads 7.1–8.0.
+func TestOneProcBacklogFillsBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const maxBatch, clients, perClient = 8, 8, 50
+	b := newTestBatcher(t, Config{MaxBatch: maxBatch})
+	px := testPixels(b.SampleLen(), 1)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if _, err := b.Predict(px); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.Close() // the last batch's stats land after its replies
+	snap := b.Stats()
+	if snap.Requests != clients*perClient {
+		t.Fatalf("%d requests served, want %d", snap.Requests, clients*perClient)
+	}
+	if snap.AvgBatch < 0.8*maxBatch {
+		t.Errorf("average batch %.2f over %d batches, want >= %.1f (histogram %v)",
+			snap.AvgBatch, snap.Batches, 0.8*maxBatch, snap.BatchHist)
 	}
 }
 
@@ -221,7 +276,7 @@ func TestPredictDuringModelSwap(t *testing.T) {
 		cur:  Static{M: testModel(t, 1, 4, 16), Tag: "v1"},
 		next: Static{M: testModel(t, 2, 4, 16), Tag: "v2"},
 	}
-	b, err := NewBatcher(Config{Provider: sp, MaxBatch: 4, MaxWait: time.Millisecond})
+	b, err := NewBatcher(Config{Provider: sp, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,18 +327,18 @@ func TestPredictDuringModelSwap(t *testing.T) {
 // surface in stats.
 func TestOverloadSheds(t *testing.T) {
 	gate := newGatedProvider(testModel(t, 1, 4, 16))
-	b, err := NewBatcher(Config{Provider: gate, MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, QueueCap: 2})
+	b, err := NewBatcher(Config{Provider: gate, MaxBatch: 1, Workers: 1, QueueCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage a provably full pipeline: one request pinned in the worker, one
-	// held by the blocked dispatcher, and the queue filled to QueueCap. The
-	// direct sends block until the stage before them drains, so after the
-	// last send the queue deterministically holds QueueCap requests.
-	reqs := make([]*request, 4)
+	// Stage a provably full pipeline: one request pinned in the worker and
+	// the queue filled to QueueCap behind it. Nothing takes from the queue
+	// while the worker is pinned, so after the last send it holds exactly
+	// QueueCap requests.
+	reqs := make([]*request, 3)
 	reqs[0] = enqueue(b, 0)
 	<-gate.first
-	for i := 1; i < 4; i++ {
+	for i := 1; i < 3; i++ {
 		reqs[i] = enqueue(b, int64(i))
 	}
 	if _, err := b.Predict(testPixels(b.SampleLen(), 99)); !errors.Is(err, ErrOverloaded) {
@@ -315,7 +370,6 @@ func TestNewBatcherValidates(t *testing.T) {
 	m := testModel(t, 1, 4, 16)
 	for _, cfg := range []Config{
 		{Provider: Static{M: m}, MaxBatch: -1},
-		{Provider: Static{M: m}, MaxWait: -time.Second},
 		{Provider: Static{M: m}, Workers: -2},
 		{Provider: Static{M: m}, QueueCap: -1},
 	} {
@@ -349,7 +403,7 @@ func TestBatchedMatchesSerial(t *testing.T) {
 		want[i] = p.Logits
 	}
 
-	batched := newTestBatcher(t, Config{Provider: Static{M: m, Tag: "m"}, MaxBatch: n, MaxWait: time.Hour})
+	batched := newTestBatcher(t, Config{Provider: Static{M: m, Tag: "m"}, MaxBatch: n})
 	var wg sync.WaitGroup
 	got := make([][]float32, n)
 	for i := range inputs {
@@ -378,7 +432,7 @@ func TestJSONLSinkSchema(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	sink.Label = "serve-test"
-	b := newTestBatcher(t, Config{MaxBatch: 2, MaxWait: time.Millisecond, Sinks: []Sink{sink}})
+	b := newTestBatcher(t, Config{MaxBatch: 2, Sinks: []Sink{sink}})
 	for i := 0; i < 3; i++ {
 		if _, err := b.Predict(testPixels(b.SampleLen(), int64(i))); err != nil {
 			t.Fatal(err)
