@@ -66,7 +66,7 @@ func main() {
 		collective = flag.String("collective", "ring", "gradient/BN all-reduce algorithm: ring, tree, torus2d, auto")
 		gradBucket = flag.Int("grad-bucket", 0, "gradient bucket size in bytes for overlapped reduction (0 = default 32 KiB)")
 		noOverlap  = flag.Bool("no-backward-overlap", false, "dispatch gradient buckets only after backward completes (bit-identical A/B baseline for the in-backward overlap)")
-		prefetch   = flag.Int("prefetch", replica.DefaultPrefetchDepth, "input-pipeline depth: batches rendered ahead per replica (0 = render synchronously on the training path)")
+		prefetch   = flag.Int("prefetch", replica.DefaultPrefetchDepth, "input-pipeline depth: batches rendered ahead per replica (>= 1)")
 		saveCkpt   = flag.String("save", "", "write replica 0's model here after training (a model-only snapshot)")
 		bestCkpt   = flag.String("save-best", "", "write a model-only snapshot here after every best-so-far evaluation")
 		loadCkpt   = flag.String("load", "", "load the model weights of any snapshot into every replica before training")
@@ -138,6 +138,7 @@ func main() {
 		train.WithEvalStrategy(strategy),
 		train.WithTarget(*targetAcc),
 		train.WithCollective(prov),
+		train.WithPrefetch(*prefetch),
 		train.WithCallbacks(train.Progress(func(s string) { fmt.Println(s) })),
 	}
 	// Telemetry: any -telemetry-* flag attaches the recorder; file sinks are
@@ -174,11 +175,6 @@ func main() {
 	}
 	if *noOverlap {
 		opts = append(opts, train.WithoutBackwardOverlap())
-	}
-	if *prefetch <= 0 {
-		opts = append(opts, train.WithoutPrefetch())
-	} else {
-		opts = append(opts, train.WithPrefetch(*prefetch))
 	}
 	if *emaDecay > 0 {
 		opts = append(opts, train.WithEMA(*emaDecay))

@@ -118,8 +118,8 @@ type PipelineConfig struct {
 	Depth int
 	// Augment applies training augmentation inside the pipeline, drawing
 	// from a single RNG stream seeded with AugmentSeed and consumed in
-	// batch order — bit-for-bit the sequence the inline training path
-	// consumed from its per-replica RNG.
+	// batch order — bit-for-bit Shard.FillBatch followed by Augment with
+	// one such RNG.
 	Augment     bool
 	AugmentSeed int64
 	// StartEpoch/StartStep position the first delivered batch mid-stream:
@@ -135,7 +135,7 @@ type PipelineConfig struct {
 	// MaxSamples, when > 0, makes the run finite: the pipeline delivers
 	// ceil(MaxSamples/BatchSize) batches starting at epoch 0 step 0 — the
 	// last one ragged (Batch.N < BatchSize) when BatchSize does not divide
-	// MaxSamples — and then closes C. 0 streams forever.
+	// MaxSamples — and then Next reports exhaustion. 0 streams forever.
 	MaxSamples int
 	// Pool supplies the batch buffers; nil builds a private pool of Depth+1
 	// buffers. A shared pool must hold buffers of matching shape.
@@ -143,14 +143,10 @@ type PipelineConfig struct {
 }
 
 // Pipeline prefetches shard batches on a background goroutine — the
-// host-side input pipeline that keeps accelerator cores fed (§3.3). Batches
-// arrive on C in deterministic (epoch, step) order; consumers Recycle each
-// batch after use and call Stop when done.
+// host-side input pipeline that keeps accelerator cores fed (§3.3). Next
+// delivers batches in deterministic (epoch, step) order; consumers Recycle
+// each batch after use and call Stop when done.
 type Pipeline struct {
-	// C delivers prefetched batches in order. It closes when MaxSamples is
-	// reached or the pipeline is stopped.
-	C <-chan *Batch
-
 	cfg  PipelineConfig
 	pool *BufferPool
 	ch   chan *Batch
@@ -197,7 +193,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	p.C = p.ch
 	go p.run()
 	return p, nil
 }
@@ -286,9 +281,9 @@ func (p *Pipeline) Recycle(b *Batch) {
 
 // Stop terminates the producer and blocks until it has exited: after Stop
 // returns, no pipeline goroutine is running and none of the pool's buffers
-// are being written. Batches still buffered in C are drained back into the
-// pool with their contents discarded, and C is closed. Batches already in
-// the consumer's hands stay valid until Recycled. Stop is idempotent and
+// are being written. Batches still buffered are drained back into the pool
+// with their contents discarded, and Next reports exhaustion. Batches already
+// in the consumer's hands stay valid until Recycled. Stop is idempotent and
 // also runs implicitly to completion on finite pipelines, but calling it is
 // always safe and releases the buffers promptly.
 func (p *Pipeline) Stop() {

@@ -17,10 +17,10 @@ func newTestPipeline(t *testing.T, cfg PipelineConfig) *Pipeline {
 }
 
 func TestPipelineMatchesInline(t *testing.T) {
-	// The prefetched stream must be bit-for-bit the sequence the inline path
-	// produces: same indices per (epoch, step), same augmentation RNG
-	// consumption order — the invariant that lets replica turn prefetching
-	// on by default without changing any loss trajectory.
+	// The prefetched stream must be bit-for-bit the sequence FillBatch +
+	// Augment produce inline: same indices per (epoch, step), same
+	// augmentation RNG consumption order — the reference the engine's only
+	// data path is held to.
 	d := miniDataset()
 	const bs, stepsPerEpoch, seed = 4, 3, 7
 	p := newTestPipeline(t, PipelineConfig{

@@ -7,9 +7,9 @@
 //
 // Seams: ConfigByName resolves a family name into a Config (the dataset's
 // resolution wins over the family default, so models are
-// resolution-agnostic); Model exposes Params for the optimizers,
-// BatchNorms for distributed-BN wiring, and CopyWeightsFrom for replica
-// initialization. Model state serializes through checkpoint.ModelState.
+// resolution-agnostic); Model exposes Params for the optimizers and
+// BatchNorms for distributed-BN wiring. Model state serializes through
+// checkpoint.ModelState.
 // Model.Infer is the tape-free forward (the nn inference split end to end:
 // running-stats BN, no dropout/drop-connect, no autograd allocations) —
 // the path evaluation strategies score on and internal/serve batches over;

@@ -6,7 +6,6 @@ import (
 
 	"effnetscale/internal/autograd"
 	"effnetscale/internal/nn"
-	"effnetscale/internal/tensor"
 )
 
 // MBConv is the mobile inverted bottleneck block with squeeze-excitation:
@@ -263,28 +262,4 @@ func (m *Model) BindGrads(buf []float32) int {
 		off += n
 	}
 	return off
-}
-
-// CopyWeightsFrom copies all parameters and BN running statistics from src.
-// Models must have identical architecture. Used to give every replica the
-// same initial weights.
-func (m *Model) CopyWeightsFrom(src *Model) {
-	sp := src.Params()
-	dp := m.Params()
-	if len(sp) != len(dp) {
-		panic("efficientnet: CopyWeightsFrom architecture mismatch")
-	}
-	for i := range dp {
-		dp[i].Data().CopyFrom(sp[i].Data())
-	}
-	sb, db := src.BatchNorms(), m.BatchNorms()
-	for i := range db {
-		db[i].RunningMean.CopyFrom(sb[i].RunningMean)
-		db[i].RunningVar.CopyFrom(sb[i].RunningVar)
-	}
-}
-
-// InputTensor allocates an input batch tensor of the model's resolution.
-func (m *Model) InputTensor(batch int) *tensor.Tensor {
-	return tensor.New(batch, 3, m.Config.Resolution, m.Config.Resolution)
 }

@@ -166,30 +166,6 @@ func TestPicoTrainStepReducesLoss(t *testing.T) {
 	}
 }
 
-func TestCopyWeightsFrom(t *testing.T) {
-	cfg, _ := ConfigByName("pico", 10)
-	a := New(rand.New(rand.NewSource(1)), cfg)
-	b := New(rand.New(rand.NewSource(2)), cfg)
-	b.CopyWeightsFrom(a)
-	ap, bp := a.Params(), b.Params()
-	for i := range ap {
-		for j := range ap[i].Data().Data() {
-			if ap[i].Data().Data()[j] != bp[i].Data().Data()[j] {
-				t.Fatalf("param %s differs after copy", ap[i].Name)
-			}
-		}
-	}
-	// Identical weights → identical eval outputs.
-	x := autograd.Constant(tensor.Randn(rand.New(rand.NewSource(3)), 1, 1, 3, cfg.Resolution, cfg.Resolution))
-	ctx := nn.EvalCtx()
-	ya, yb := a.Forward(ctx, x), b.Forward(ctx, x)
-	for i := range ya.T.Data() {
-		if ya.T.Data()[i] != yb.T.Data()[i] {
-			t.Fatal("copied model produces different outputs")
-		}
-	}
-}
-
 func TestBatchNormsEnumerated(t *testing.T) {
 	cfg, _ := ConfigByName("pico", 10)
 	m := New(rand.New(rand.NewSource(1)), cfg)

@@ -84,12 +84,6 @@ type Ctx struct {
 // EvalCtx returns a context for inference in full fp32.
 func EvalCtx() *Ctx { return &Ctx{} }
 
-// TrainCtx returns a training context with the given seed and the paper's
-// default mixed-precision policy (bf16 convolutions).
-func TrainCtx(seed int64) *Ctx {
-	return &Ctx{Training: true, Precision: bf16.DefaultPolicy, RNG: rand.New(rand.NewSource(seed))}
-}
-
 // --- Conv layers ------------------------------------------------------------
 
 // Conv2D is a bias-free 2-D convolution (EfficientNet convs carry no bias;

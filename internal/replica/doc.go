@@ -24,7 +24,7 @@
 //
 // Seams: Config assembles a run (collective provider, bucket size, prefetch
 // depth, BN grouping, precision, optimizer); Engine.Step/Evaluate/
-// EvaluateSerial are what the trainloop engine drives; CaptureState/
+// EvaluateSerial are what train.Session's loop drives; CaptureState/
 // RestoreState compose full checkpoint snapshots; Config.Telemetry attaches
 // the telemetry recorder, which times every step's phases (data wait,
 // forward, backward, the gradient-reduce overlap window and its exposed

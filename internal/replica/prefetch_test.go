@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"testing"
 
 	"effnetscale/internal/bf16"
@@ -8,37 +9,47 @@ import (
 	"effnetscale/internal/schedule"
 )
 
+// prefetchEngine builds a world-4 mini engine whose input pipelines buffer
+// depth batches ahead (0 = DefaultPrefetchDepth), closed at test end.
+func prefetchEngine(t *testing.T, cfg Config, depth int) *Engine {
+	t.Helper()
+	cfg.PrefetchDepth = depth
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
 // TestPrefetchMatchesInline is the acceptance test for the input pipeline:
-// with augmentation on, the prefetched engine (default) and the synchronous
-// engine must produce bitwise-identical loss trajectories and weights.
+// pipeline depth is trajectory-neutral. With augmentation on and gradient
+// accumulation, the shallowest pipeline (depth 1: one batch rendered ahead,
+// the closest to rendering inline) and a deep one must produce
+// bitwise-identical loss trajectories and weights.
 func TestPrefetchMatchesInline(t *testing.T) {
-	mk := func(prefetch int) *Engine {
-		cfg := miniEngineConfig(4, 4, 4)
-		cfg.NoAugment = false
-		cfg.GradAccumSteps = 2
-		cfg.PrefetchDepth = prefetch
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+	cfg := miniEngineConfig(4, 4, 4)
+	cfg.NoAugment = false
+	cfg.GradAccumSteps = 2
+	shallow, deep := prefetchEngine(t, cfg, 1), prefetchEngine(t, cfg, 3)
+	if shallow.Prefetching() != 1 || deep.Prefetching() != 3 {
+		t.Fatalf("depths %d/%d, want 1/3", shallow.Prefetching(), deep.Prefetching())
 	}
-	pre, inline := mk(0), mk(PrefetchOff)
-	defer pre.Close()
-	if pre.Prefetching() == 0 {
-		t.Fatal("default config did not enable prefetching")
+	if d := prefetchEngine(t, cfg, 0).Prefetching(); d != DefaultPrefetchDepth {
+		t.Fatalf("zero PrefetchDepth resolved to %d, want %d", d, DefaultPrefetchDepth)
 	}
-	if inline.Prefetching() != 0 {
-		t.Fatal("PrefetchOff did not disable prefetching")
+	cfg.PrefetchDepth = -1
+	if _, err := New(cfg); err == nil {
+		t.Fatal("negative prefetch depth must error")
 	}
-	steps := pre.StepsPerEpoch() + 2 // cross an epoch boundary
+	steps := shallow.StepsPerEpoch() + 2 // cross an epoch boundary
 	for i := 0; i < steps; i++ {
-		rp, ri := mustStep(t, pre), mustStep(t, inline)
-		if rp.Loss != ri.Loss || rp.Accuracy != ri.Accuracy {
-			t.Fatalf("step %d: prefetched (loss %v acc %v) != inline (loss %v acc %v)", i, rp.Loss, rp.Accuracy, ri.Loss, ri.Accuracy)
+		rs, rd := mustStep(t, shallow), mustStep(t, deep)
+		if rs.Loss != rd.Loss || rs.Accuracy != rd.Accuracy {
+			t.Fatalf("step %d: depth 1 (loss %v acc %v) != depth 3 (loss %v acc %v)", i, rs.Loss, rs.Accuracy, rd.Loss, rd.Accuracy)
 		}
 	}
-	pp, ip := pre.Replica(0).Model.Params(), inline.Replica(0).Model.Params()
+	pp, ip := shallow.Replica(0).Model.Params(), deep.Replica(0).Model.Params()
 	for i := range pp {
 		a, b := pp[i].Data().Data(), ip[i].Data().Data()
 		for j := range a {
@@ -49,40 +60,33 @@ func TestPrefetchMatchesInline(t *testing.T) {
 	}
 }
 
+// TestPrefetchedEvalMatchesInline: evaluation pipelines are depth-neutral
+// too, including the ragged final batch and the reused buffer pool.
 func TestPrefetchedEvalMatchesInline(t *testing.T) {
-	mk := func(prefetch int) *Engine {
-		cfg := miniEngineConfig(4, 4, 1) // val split 64, shard 16 per rank
-		cfg.PrefetchDepth = prefetch
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	pre, inline := mk(0), mk(PrefetchOff)
-	defer pre.Close()
+	cfg := miniEngineConfig(4, 4, 1) // val split 64, shard 16 per rank
+	shallow, deep := prefetchEngine(t, cfg, 1), prefetchEngine(t, cfg, 3)
 	// Ragged cap: 10 samples per replica at batch 4 forces a partial final
-	// batch on both paths.
+	// batch at both depths.
 	for _, cap := range []int{0, 10} {
-		if a, b := mustEval(t, pre, cap), mustEval(t, inline, cap); a != b {
-			t.Fatalf("Evaluate(%d): prefetched %v != inline %v", cap, a, b)
+		if a, b := mustEval(t, shallow, cap), mustEval(t, deep, cap); a != b {
+			t.Fatalf("Evaluate(%d): depth 1 %v != depth 3 %v", cap, a, b)
 		}
 	}
-	accP, nP := mustEvalSerial(t, pre, 10)
-	accI, nI := mustEvalSerial(t, inline, 10)
-	if accP != accI || nP != nI {
-		t.Fatalf("EvaluateSerial: prefetched (%v, %d) != inline (%v, %d)", accP, nP, accI, nI)
+	accS, nS := mustEvalSerial(t, shallow, 10)
+	accD, nD := mustEvalSerial(t, deep, 10)
+	if accS != accD || nS != nD {
+		t.Fatalf("EvaluateSerial: depth 1 (%v, %d) != depth 3 (%v, %d)", accS, nS, accD, nD)
 	}
 	// Reusing the eval pool across calls must not change results.
-	if a, b := mustEval(t, pre, 10), mustEval(t, inline, 10); a != b {
-		t.Fatalf("second Evaluate: prefetched %v != inline %v", a, b)
+	if a, b := mustEval(t, shallow, 10), mustEval(t, deep, 10); a != b {
+		t.Fatalf("second Evaluate: depth 1 %v != depth 3 %v", a, b)
 	}
 }
 
 func TestEvaluateWithEmptyValShards(t *testing.T) {
 	// ValSize < World: some ranks hold empty validation shards. They must
 	// contribute zero counts to the all-reduce instead of panicking.
-	for _, prefetch := range []int{0, PrefetchOff} {
+	for _, prefetch := range []int{1, 3} {
 		ds := data.New(data.Config{NumClasses: 2, TrainSize: 16, ValSize: 2, Resolution: 16, NoiseStd: 0.25, Seed: 1})
 		e, err := New(Config{
 			World: 4, PerReplicaBatch: 2, Model: "pico", Dataset: ds,
@@ -126,6 +130,31 @@ func TestCloseIsIdempotentAndStopsPipelines(t *testing.T) {
 			if _, ok := pipe.Next(); ok {
 				t.Fatalf("rank %d pipeline still delivering after Close", r)
 			}
+		}
+	}
+}
+
+// TestStepAfterCloseReturnsErrClosed: a closed engine's pipelines are gone,
+// so every entry point that would read them returns ErrClosed instead of
+// panicking inside a replica goroutine, where no caller could recover.
+func TestStepAfterCloseReturnsErrClosed(t *testing.T) {
+	for _, stepFirst := range []bool{true, false} {
+		e, err := New(miniEngineConfig(2, 4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stepFirst {
+			mustStep(t, e)
+		}
+		e.Close()
+		if _, err := e.Step(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Step after Close (stepped first: %t) = %v, want ErrClosed", stepFirst, err)
+		}
+		if _, err := e.Evaluate(4); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Evaluate after Close = %v, want ErrClosed", err)
+		}
+		if _, _, err := e.EvaluateSerial(4); !errors.Is(err, ErrClosed) {
+			t.Fatalf("EvaluateSerial after Close = %v, want ErrClosed", err)
 		}
 	}
 }

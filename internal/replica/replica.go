@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -108,9 +109,8 @@ type Config struct {
 	// PrefetchDepth configures the per-replica input pipeline: the number
 	// of rendered batches buffered ahead of the compute loop, with
 	// augmentation applied inside the pipeline. 0 means
-	// DefaultPrefetchDepth (prefetching is on by default); PrefetchOff
-	// disables it and renders every batch synchronously on the training
-	// critical path. Both paths produce bit-for-bit identical batches.
+	// DefaultPrefetchDepth. Every depth delivers bit-for-bit identical
+	// batches.
 	PrefetchDepth int
 	// Telemetry, when non-nil, receives per-step phase timings (data wait,
 	// forward, backward, gradient-reduce overlap, optimizer apply),
@@ -125,8 +125,9 @@ type Config struct {
 // batch on the accelerator, one rendered and waiting, one rendering.
 const DefaultPrefetchDepth = 2
 
-// PrefetchOff disables the input pipeline (Config.PrefetchDepth).
-const PrefetchOff = -1
+// ErrClosed is what Step, Evaluate and EvaluateSerial return once the
+// engine has been closed.
+var ErrClosed = errors.New("replica: engine closed")
 
 // DefaultGradBucketBytes is the gradient bucket size when Config leaves
 // GradBucketBytes zero: 32 KiB. Grad-ready dispatch overlaps reduction
@@ -174,6 +175,9 @@ type Engine struct {
 	// train, evaluate or snapshot (see errPoisoned) — the failure must not
 	// be trainable-through.
 	failed error
+	// closed records Close: the pipelines are stopped, so the engine
+	// refuses to train or evaluate (ErrClosed).
+	closed bool
 	// samples holds one reusable per-replica phase-timing sample per rank
 	// (nil when telemetry is off, which disables all timing).
 	samples []telemetry.StepSample
@@ -202,11 +206,8 @@ type Replica struct {
 	train   *data.Shard
 	val     *data.Shard
 	ctx     *nn.Ctx
-	augRNG  *rand.Rand
 	gradBuf []float32
 	buckets [][2]int
-	batch   *tensor.Tensor
-	labels  []int
 	accum   int
 
 	// tape drives the backward passes; every parameter is registered with
@@ -231,24 +232,23 @@ type Replica struct {
 	// noOverlap serializes dispatch after backward (Config.NoBackwardOverlap).
 	noOverlap bool
 
-	// ctxStream and augStream are the serializable positions of this
-	// replica's dropout/stochastic-depth RNG (ctx.RNG) and synchronous-path
-	// augmentation RNG (augRNG) — the cursors a training snapshot records.
+	// ctxStream is the serializable position of this replica's
+	// dropout/stochastic-depth RNG (ctx.RNG) — a cursor a training snapshot
+	// records.
 	ctxStream *rng.Stream
-	augStream *rng.Stream
 	// augDraws is the augmentation-stream position as of the last consumed
-	// micro-batch on the prefetched path (the producer runs ahead, so the
-	// pipeline's own stream is not the consumer's position).
+	// micro-batch — the other recorded cursor (the pipeline's producer runs
+	// ahead, so its own stream is not the consumer's position).
 	augDraws uint64
 
-	// pipe is the training input pipeline (nil when prefetch is off): it
-	// renders and augments micro-batches on a background goroutine so the
-	// compute loop never waits on host-side rendering.
+	// pipe is the training input pipeline: it renders and augments
+	// micro-batches on a background goroutine so the compute loop never
+	// waits on host-side rendering. Nil until the first Step.
 	pipe *data.Pipeline
-	// prefetch is the resolved pipeline depth (0 = off).
+	// prefetch is the resolved pipeline depth.
 	prefetch int
-	// res is the input resolution, needed to size evaluation buffers.
-	res int
+	// batchSize and res size the evaluation buffers.
+	batchSize, res int
 	// evalPool lazily holds reusable evaluation batch buffers, shared
 	// across this replica's evaluation pipelines so Evaluate allocates no
 	// tensors after the first call.
@@ -375,11 +375,11 @@ func New(cfg Config) (*Engine, error) {
 		// shards by the mesh's data axis (model-group members share a shard).
 		return nil, fmt.Errorf("replica: train split (%d samples) smaller than data axis %d: every data shard needs at least one sample", cfg.Dataset.Config().TrainSize, cfg.Mesh.Data)
 	}
+	if cfg.PrefetchDepth < 0 {
+		return nil, fmt.Errorf("replica: prefetch depth %d must be >= 0", cfg.PrefetchDepth)
+	}
 	if cfg.PrefetchDepth == 0 {
 		cfg.PrefetchDepth = DefaultPrefetchDepth
-	}
-	if cfg.PrefetchDepth < 0 {
-		cfg.PrefetchDepth = 0 // PrefetchOff: synchronous rendering
 	}
 	prov := cfg.Collective
 	if prov.IsZero() {
@@ -435,11 +435,15 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Reference model: every replica copies its weights so all start equal.
-	ref := efficientnet.New(rand.New(rand.NewSource(cfg.Seed)), modelCfg)
-	e.gradLen = ref.NumParams()
+	// Every replica builds its model from the same seed, so all start with
+	// bitwise-equal weights and BN statistics; rank 0's fixes the layout.
+	models := make([]*efficientnet.Model, cfg.World)
+	for r := range models {
+		models[r] = efficientnet.New(rand.New(rand.NewSource(cfg.Seed)), modelCfg)
+	}
+	e.gradLen = models[0].NumParams()
 	e.buckets = gradBuckets(e.gradLen, cfg.GradBucketBytes)
-	e.paramBuckets, e.bucketParams = bucketMembership(paramSpans(ref.Params()), e.buckets)
+	e.paramBuckets, e.bucketParams = bucketMembership(paramSpans(models[0].Params()), e.buckets)
 
 	// The global batch follows the data axis: model-group members consume
 	// the same shard, so only Data distinct batches exist per step.
@@ -448,29 +452,26 @@ func New(cfg Config) (*Engine, error) {
 
 	for r := 0; r < cfg.World; r++ {
 		d, mIdx := cfg.Mesh.Coords(r)
-		m := efficientnet.New(rand.New(rand.NewSource(cfg.Seed)), modelCfg)
-		m.CopyWeightsFrom(ref)
+		m := models[r]
 		opt, ok := optim.ByName(cfg.OptimizerName, cfg.WeightDecay)
 		if !ok {
-			e.Close() // stop pipelines of already-built replicas
 			return nil, fmt.Errorf("replica: unknown optimizer %q", cfg.OptimizerName)
 		}
 		rep := &Replica{
-			Rank:     r,
-			dataRank: d,
-			Model:    m,
-			coll:     msh.DataColl(r),
-			opt:      opt,
-			train:    data.NewShard(cfg.Dataset, 0, d, cfg.Mesh.Data),
-			val:      data.NewShard(cfg.Dataset, 1, d, cfg.Mesh.Data),
-			ctx:      &nn.Ctx{Training: true, Precision: cfg.Precision, Scratch: e.scratch},
-			gradBuf:  make([]float32, e.gradLen),
-			buckets:  e.buckets,
-			batch:    tensor.New(cfg.PerReplicaBatch, 3, modelCfg.Resolution, modelCfg.Resolution),
-			labels:   make([]int, cfg.PerReplicaBatch),
-			accum:    cfg.GradAccumSteps,
-			prefetch: cfg.PrefetchDepth,
-			res:      modelCfg.Resolution,
+			Rank:      r,
+			dataRank:  d,
+			Model:     m,
+			coll:      msh.DataColl(r),
+			opt:       opt,
+			train:     data.NewShard(cfg.Dataset, 0, d, cfg.Mesh.Data),
+			val:       data.NewShard(cfg.Dataset, 1, d, cfg.Mesh.Data),
+			ctx:       &nn.Ctx{Training: true, Precision: cfg.Precision, Scratch: e.scratch},
+			gradBuf:   make([]float32, e.gradLen),
+			buckets:   e.buckets,
+			accum:     cfg.GradAccumSteps,
+			prefetch:  cfg.PrefetchDepth,
+			batchSize: cfg.PerReplicaBatch,
+			res:       modelCfg.Resolution,
 		}
 		if cfg.Mesh.Model > 1 {
 			// The plan shards the 1×1 convs' channels across the model axis;
@@ -501,15 +502,11 @@ func New(cfg Config) (*Engine, error) {
 		// and a resume can replay — their exact positions. The values are
 		// bit-identical to the plain rand.NewSource construction. Seeds key
 		// off the data coordinate: the M ranks of a model group see the same
-		// batches and the same dropout/drop-path masks.
-		rep.installRNGs(ctxSeed(cfg.Seed, d), 0, augSeed(cfg.Seed, d), 0)
-		// With prefetch > 0, the pipeline will own the training shard: it
-		// renders micro-batches ahead of the compute loop, with
-		// augmentation drawn from the same per-replica seed the inline
-		// path uses, so both paths produce bit-for-bit identical batch
-		// streams. Pipelines start lazily at the first Step (see
-		// ensurePipelines), so a RestoreState between New and Step never
-		// renders batches it will discard.
+		// batches and the same dropout/drop-path masks. The input pipeline
+		// owns the training shard and the augmentation stream; it starts
+		// lazily at the first Step (see ensurePipelines), so a RestoreState
+		// between New and Step never renders batches it will discard.
+		rep.installRNGs(ctxSeed(cfg.Seed, d), 0, 0)
 		if cfg.EMADecay > 0 {
 			rep.ema = optim.NewWeightEMA(cfg.EMADecay)
 		}
@@ -533,27 +530,17 @@ func New(cfg Config) (*Engine, error) {
 // ctxSeed derives replica rank's dropout/stochastic-depth RNG seed.
 func ctxSeed(seed int64, rank int) int64 { return seed*1000 + int64(rank) }
 
-// augSeed derives replica rank's augmentation RNG seed (shared by the
-// synchronous path and the input pipeline, which consume identical streams).
+// augSeed derives replica rank's augmentation RNG seed, which its input
+// pipeline draws from.
 func augSeed(seed int64, rank int) int64 { return seed*2000 + int64(rank) }
 
-// installRNGs (re)builds the replica's RNG streams at the given positions:
-// draw 0 for a fresh engine, a snapshot's recorded cursors on restore.
-func (r *Replica) installRNGs(ctxSeed int64, ctxDraws uint64, augSeed int64, augDraws uint64) {
+// installRNGs (re)builds the replica's dropout RNG and sets both recorded
+// cursors: draw 0 for a fresh engine, a snapshot's cursors on restore. The
+// augmentation cursor takes effect when the next pipeline starts.
+func (r *Replica) installRNGs(ctxSeed int64, ctxDraws, augDraws uint64) {
 	r.ctxStream = rng.Restore(ctxSeed, ctxDraws)
 	r.ctx.RNG = r.ctxStream.Rand()
-	r.augStream = rng.Restore(augSeed, augDraws)
-	r.augRNG = r.augStream.Rand()
 	r.augDraws = augDraws
-}
-
-// augPosition is the augmentation-stream cursor as of the batches this
-// replica has actually trained on — what a snapshot records.
-func (r *Replica) augPosition() uint64 {
-	if r.pipe != nil {
-		return r.augDraws
-	}
-	return r.augStream.Draws()
 }
 
 // startPipeline (re)starts rep's training input pipeline at the given micro
@@ -592,8 +579,8 @@ func (e *Engine) ensurePipelines() {
 	startEpoch := e.stepCount / e.stepsPerEpoch
 	startMicro := (e.stepCount % e.stepsPerEpoch) * e.cfg.GradAccumSteps
 	for _, rep := range e.replicas {
-		if rep.prefetch > 0 && rep.pipe == nil {
-			if err := e.startPipeline(rep, startEpoch, startMicro, rep.augPosition()); err != nil {
+		if rep.pipe == nil {
+			if err := e.startPipeline(rep, startEpoch, startMicro, rep.augDraws); err != nil {
 				// Unreachable in practice: New validates every input the
 				// pipeline checks (shard geometry, batch size, position).
 				panic(err.Error())
@@ -603,9 +590,10 @@ func (e *Engine) ensurePipelines() {
 }
 
 // Close stops every replica's input pipeline and waits for their producer
-// goroutines to exit. The engine must not Step or Evaluate after Close.
-// Close is idempotent.
+// goroutines to exit. After Close, Step, Evaluate and EvaluateSerial return
+// ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
+	e.closed = true
 	for _, rep := range e.replicas {
 		if rep.pipe != nil {
 			rep.pipe.Stop()
@@ -613,8 +601,7 @@ func (e *Engine) Close() {
 	}
 }
 
-// Prefetching reports the resolved input-pipeline depth (0 = synchronous
-// rendering).
+// Prefetching reports the resolved input-pipeline depth.
 func (e *Engine) Prefetching() int { return e.cfg.PrefetchDepth }
 
 // GlobalBatch returns the effective global batch:
@@ -629,9 +616,6 @@ func (e *Engine) World() int { return e.cfg.World }
 
 // Mesh returns the engine's device-mesh shape (World×1 when unset).
 func (e *Engine) Mesh() mesh.Shape { return e.cfg.Mesh }
-
-// BatchSize returns the replica's local batch size.
-func (r *Replica) BatchSize() int { return r.batch.Dim(0) }
 
 // Dataset returns the dataset this replica draws its shards from.
 func (r *Replica) Dataset() *data.Dataset { return r.train.D }
@@ -651,10 +635,10 @@ func (e *Engine) Replica(r int) *Replica { return e.replicas[r] }
 // forward/backward on its shard of the batch, gradients are all-reduced in
 // overlapped buckets through the configured collective and averaged, and
 // each replica applies the identical optimizer update. It refuses to run on
-// an engine poisoned by a failed state restore.
+// a closed engine or one poisoned by a failed state restore.
 func (e *Engine) Step() (StepResult, error) {
-	if e.failed != nil {
-		return StepResult{}, e.errPoisoned()
+	if err := e.checkUsable(); err != nil {
+		return StepResult{}, err
 	}
 	e.ensurePipelines()
 	epochF := float64(e.stepCount) / float64(e.stepsPerEpoch)
@@ -679,7 +663,7 @@ func (e *Engine) Step() (StepResult, error) {
 				sample = &e.samples[rep.Rank]
 				sample.Reset()
 			}
-			results[rep.Rank] = rep.trainStep(epoch, step, lr, e.cfg.LabelSmoothing, e.cfg.Mesh.Data, !e.cfg.NoAugment, sample)
+			results[rep.Rank] = rep.trainStep(epoch, step, lr, e.cfg.LabelSmoothing, e.cfg.Mesh.Data, sample)
 		}(rep)
 	}
 	wg.Wait()
@@ -713,7 +697,7 @@ func (e *Engine) Step() (StepResult, error) {
 // size on a pure data-parallel run). sample, when non-nil, receives the
 // replica's phase timings (every timing call is nil-safe and free when
 // telemetry is off).
-func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, dataWorld int, augment bool, sample *telemetry.StepSample) StepResult {
+func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, dataWorld int, sample *telemetry.StepSample) StepResult {
 	// Gradients are bound into gradBuf (BindGrads), so clearing the buffer
 	// once clears every parameter's gradient; ZeroGrad just marks each
 	// bound leaf fresh. A parameter the backward never touches contributes
@@ -730,7 +714,7 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 		r.plan.sample = sample
 	}
 	var starved0 int64
-	if sample != nil && r.pipe != nil {
+	if sample != nil {
 		starved0 = r.pipe.Starved()
 	}
 	// The reduction stream: a background goroutine all-reduces each bucket
@@ -765,31 +749,19 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 	correct := 0
 	seen := 0
 	for k := 0; k < r.accum; k++ {
-		// The prefetched path consumes the next micro-batch from the input
-		// pipeline, which rendered and augmented it in the background; the
-		// synchronous path renders inline. Batch contents are bit-for-bit
-		// identical either way.
-		imgs, labels := r.batch, r.labels
-		var pb *data.Batch
+		// The input pipeline rendered and augmented this micro-batch in the
+		// background.
 		t0 := sample.Now()
-		if r.pipe != nil {
-			var ok bool
-			pb, ok = r.pipe.Next()
-			if !ok {
-				panic("replica: input pipeline closed mid-training (engine used after Close?)")
-			}
-			if pb.Epoch != epoch || pb.Step != step*r.accum+k {
-				panic(fmt.Sprintf("replica: input pipeline out of lockstep: batch (%d,%d), want (%d,%d)", pb.Epoch, pb.Step, epoch, step*r.accum+k))
-			}
-			imgs, labels = pb.Images, pb.Labels
-			// Advance the consumer-side augmentation cursor (see Batch.AugDraws).
-			r.augDraws = pb.AugDraws
-		} else {
-			r.train.FillBatch(epoch, step*r.accum+k, r.batch, r.labels)
-			if augment {
-				data.Augment(r.batch, r.augRNG)
-			}
+		pb, ok := r.pipe.Next()
+		if !ok {
+			panic("replica: input pipeline closed mid-training")
 		}
+		if pb.Epoch != epoch || pb.Step != step*r.accum+k {
+			panic(fmt.Sprintf("replica: input pipeline out of lockstep: batch (%d,%d), want (%d,%d)", pb.Epoch, pb.Step, epoch, step*r.accum+k))
+		}
+		imgs, labels := pb.Images, pb.Labels
+		// Advance the consumer-side augmentation cursor (see Batch.AugDraws).
+		r.augDraws = pb.AugDraws
 		sample.Add(telemetry.PhaseDataWait, t0)
 		t0 = sample.Now()
 		x := autograd.Constant(imgs)
@@ -822,12 +794,10 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 		}
 		lossSum += float64(loss.T.Data()[0]) * float64(len(labels))
 		seen += len(labels)
-		if pb != nil {
-			// The tape is done with the pixels; let the producer reuse them.
-			r.pipe.Recycle(pb)
-		}
+		// The tape is done with the pixels; let the producer reuse them.
+		r.pipe.Recycle(pb)
 	}
-	if sample != nil && r.pipe != nil {
+	if sample != nil {
 		sample.AddStarved(r.pipe.Starved() - starved0)
 	}
 
@@ -911,12 +881,12 @@ func (r *Replica) onGradReady(v *autograd.Value) {
 // Evaluate runs distributed evaluation (§3.3): every replica scores its
 // shard of the validation split in eval mode, and the correct/total counts
 // are all-reduced. maxSamplesPerReplica caps work for quick checks
-// (0 = full shard). It refuses to run on an engine poisoned by a failed
-// state restore — half-restored weights would score as a model nobody
-// trained.
+// (0 = full shard). It refuses to run on a closed engine or one poisoned by
+// a failed state restore — half-restored weights would score as a model
+// nobody trained.
 func (e *Engine) Evaluate(maxSamplesPerReplica int) (float64, error) {
-	if e.failed != nil {
-		return 0, e.errPoisoned()
+	if err := e.checkUsable(); err != nil {
+		return 0, err
 	}
 	accs := make([]float64, len(e.replicas))
 	var wg sync.WaitGroup
@@ -940,11 +910,12 @@ func (r *Replica) ValLen() int { return r.val.Len() }
 // serialized-evaluation structure of TPUEstimator (§3.3). It scores the same
 // model Evaluate would: EMA shadow weights when enabled, eval mode, the
 // training precision policy. Returns the accuracy and the number of images
-// actually scored. Like Evaluate, it refuses to run on a poisoned engine.
+// actually scored. Like Evaluate, it refuses to run on a closed or poisoned
+// engine.
 func (e *Engine) EvaluateSerial(maxSamples int) (float64, int, error) {
 	r := e.replicas[0]
-	if e.failed != nil {
-		return 0, 0, e.errPoisoned()
+	if err := e.checkUsable(); err != nil {
+		return 0, 0, err
 	}
 	if r.ema != nil && r.ema.Steps() > 0 {
 		mustSwap(r.ema, r.Model.Params())
@@ -966,63 +937,45 @@ func (e *Engine) EvaluateSerial(maxSamples int) (float64, int, error) {
 }
 
 // scoreShard scores the first n validation samples of shard in eval mode and
-// returns the correct/total counts. With prefetching enabled the batches are
-// rendered ahead by a bounded pipeline drawing on this replica's reusable
-// evaluation buffers (allocated once, on first use); either way the ragged
-// final batch renders only the samples actually scored — the wrap-around
-// tail that used to be rendered and then discarded is never drawn. n must be
-// >= 1 and shard non-empty.
+// returns the correct/total counts. The batches are rendered ahead by a
+// bounded pipeline drawing on this replica's reusable evaluation buffers
+// (allocated once, on first use); the ragged final batch renders only the
+// samples actually scored. n must be >= 1 and shard non-empty.
 func (r *Replica) scoreShard(shard *data.Shard, n int) (correct, total int) {
-	bs := r.batch.Dim(0)
-	// Evaluation runs on the tape-free inference forward: BN on running
-	// stats, regularizers off, no autograd allocations — bit-for-bit the
-	// logits the eval-mode tape forward produced, minus the tape.
-	score := func(imgs *tensor.Tensor, labels []int, cnt int) {
-		logits := r.Model.Infer(r.ctx.Precision, imgs)
-		pred := autograd.Argmax(logits)
-		for i := 0; i < cnt; i++ {
-			if pred[i] == labels[i] {
+	bs := r.batchSize
+	if r.evalPool == nil {
+		r.evalPool = data.NewBufferPool(r.prefetch+1, bs, r.res)
+	}
+	p, err := data.NewPipeline(data.PipelineConfig{
+		Shard:         shard,
+		BatchSize:     bs,
+		StepsPerEpoch: (n + bs - 1) / bs,
+		Depth:         r.prefetch,
+		MaxSamples:    n,
+		Pool:          r.evalPool,
+	})
+	if err != nil {
+		// Unreachable: a non-empty shard, n >= 1 and bs >= 1 pass every
+		// check NewPipeline makes.
+		panic("replica: evaluation pipeline: " + err.Error())
+	}
+	defer p.Stop()
+	for {
+		b, ok := p.Next()
+		if !ok {
+			return correct, total
+		}
+		// Evaluation runs on the tape-free inference forward: BN on running
+		// stats, regularizers off, no autograd allocations.
+		pred := autograd.Argmax(r.Model.Infer(r.ctx.Precision, b.Images))
+		for i := 0; i < b.N; i++ {
+			if pred[i] == b.Labels[i] {
 				correct++
 			}
 		}
-		total += cnt
+		total += b.N
+		p.Recycle(b)
 	}
-	if r.prefetch > 0 {
-		if r.evalPool == nil {
-			r.evalPool = data.NewBufferPool(r.prefetch+1, bs, r.res)
-		}
-		p, err := data.NewPipeline(data.PipelineConfig{
-			Shard:         shard,
-			BatchSize:     bs,
-			StepsPerEpoch: (n + bs - 1) / bs,
-			Depth:         r.prefetch,
-			MaxSamples:    n,
-			Pool:          r.evalPool,
-		})
-		if err == nil {
-			defer p.Stop()
-			for {
-				b, ok := p.Next()
-				if !ok {
-					break
-				}
-				score(b.Images, b.Labels, b.N)
-				p.Recycle(b)
-			}
-			return correct, total
-		}
-		// Never skip evaluation over a pipeline problem: score inline.
-	}
-	for lo := 0; lo < n; lo += bs {
-		cnt := bs
-		if lo+cnt > n {
-			cnt = n - lo
-		}
-		// Reuse the batch tensor; only the first cnt entries are rendered.
-		shard.FillBatchN(0, lo/bs, cnt, r.batch, r.labels)
-		score(r.batch, r.labels, cnt)
-	}
-	return correct, total
 }
 
 func (r *Replica) evaluate(maxSamples int) float64 {

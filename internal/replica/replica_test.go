@@ -2,6 +2,7 @@ package replica
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"effnetscale/internal/bf16"
@@ -65,6 +66,17 @@ func TestReplicasStayInSync(t *testing.T) {
 	}
 	if d := e.WeightsInSync(); d != "" {
 		t.Fatalf("replicas differ at init: %s", d)
+	}
+	// Every rank builds its model from the same seed, so BN running
+	// statistics (which WeightsInSync does not cover) start equal too.
+	ref := e.Replica(0).Model.BatchNorms()
+	for r := 1; r < e.World(); r++ {
+		for i, bn := range e.Replica(r).Model.BatchNorms() {
+			if !reflect.DeepEqual(bn.RunningMean.Data(), ref[i].RunningMean.Data()) ||
+				!reflect.DeepEqual(bn.RunningVar.Data(), ref[i].RunningVar.Data()) {
+				t.Fatalf("rank %d BN %d running statistics differ from rank 0's at init", r, i)
+			}
+		}
 	}
 	for i := 0; i < 3; i++ {
 		e.Step()

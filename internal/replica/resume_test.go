@@ -145,14 +145,15 @@ func TestResumeBitForBit(t *testing.T) {
 }
 
 // TestResumeAcrossPrefetchModes: prefetch depth is trajectory-neutral, so a
-// snapshot from a prefetching engine must restore into a synchronous one
-// (and vice versa) and still match bit-for-bit.
+// snapshot from a depth-1 engine must restore into a depth-3 one and still
+// match bit-for-bit.
 func TestResumeAcrossPrefetchModes(t *testing.T) {
-	cfgOn := resumeEngineConfig()
-	cfgOff := resumeEngineConfig()
-	cfgOff.PrefetchDepth = PrefetchOff
+	cfgShallow := resumeEngineConfig()
+	cfgShallow.PrefetchDepth = 1
+	cfgDeep := resumeEngineConfig()
+	cfgDeep.PrefetchDepth = 3
 
-	a, err := New(cfgOn)
+	a, err := New(cfgShallow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestResumeAcrossPrefetchModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := New(cfgOff)
+	b, err := New(cfgDeep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestResumeAcrossPrefetchModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := diffSnapshots(sa, sb); d != "" {
-		t.Fatalf("prefetch-on and prefetch-off diverged after shared restore at %s", d)
+		t.Fatalf("depth 1 and depth 3 diverged after shared restore at %s", d)
 	}
 }
 

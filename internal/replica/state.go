@@ -150,13 +150,26 @@ func (e *Engine) CaptureState() (*checkpoint.Snapshot, error) {
 			rc.PutF32(fmt.Sprintf("bn/%d/mean", i), bn.RunningMean.Shape(), bn.RunningMean.Data())
 			rc.PutF32(fmt.Sprintf("bn/%d/var", i), bn.RunningVar.Shape(), bn.RunningVar.Data())
 		}
-		rc.PutI64("augdraws", int64(rep.augPosition()))
+		rc.PutI64("augdraws", int64(rep.augDraws))
 		rc.PutI64("ctxdraws", int64(rep.ctxStream.Draws()))
 		if err := snap.Add(fmt.Sprintf(replicaComponent, r), rc); err != nil {
 			return nil, err
 		}
 	}
 	return snap, nil
+}
+
+// checkUsable returns ErrClosed after Close and the poisoned-engine error
+// after a failed restore: the two states in which the engine refuses to
+// train or evaluate.
+func (e *Engine) checkUsable() error {
+	if e.closed {
+		return ErrClosed
+	}
+	if e.failed != nil {
+		return e.errPoisoned()
+	}
+	return nil
 }
 
 // errPoisoned renders the descriptive error a poisoned engine returns from
@@ -380,7 +393,7 @@ func (e *Engine) applyState(snap *checkpoint.Snapshot, oc, ec checkpoint.Compone
 		}
 		// RNG streams are seeded by the data-axis coordinate (model-group
 		// members share a stream), matching the seeding New performs.
-		rep.installRNGs(ctxSeed(e.cfg.Seed, rep.dataRank), uint64(st.ctxDraws), augSeed(e.cfg.Seed, rep.dataRank), uint64(st.augDraws))
+		rep.installRNGs(ctxSeed(e.cfg.Seed, rep.dataRank), uint64(st.ctxDraws), uint64(st.augDraws))
 		// Any running pipeline holds the pre-restore cursor; stop it and
 		// let the next Step lazily start a fresh one at the restored
 		// micro-batch position (ensurePipelines).

@@ -99,13 +99,13 @@ func TestEngineTelemetry(t *testing.T) {
 }
 
 // TestEngineTelemetryPrefetchMatchesInline verifies instrumentation is
-// observation only: with and without telemetry, with and without prefetch,
+// observation only: with and without telemetry, at pipeline depths 1 and 3,
 // and with the in-backward overlap disabled, the training trajectory is
 // bit-for-bit identical.
 func TestEngineTelemetryPrefetchMatchesInline(t *testing.T) {
-	plain := newTelemetryEngine(t, nil, PrefetchOff)
-	instr := newTelemetryEngine(t, telemetry.NewRecorder(), 2)
-	serial := newTelemetryEngine(t, telemetry.NewRecorder(), 2, func(c *Config) { c.NoBackwardOverlap = true })
+	plain := newTelemetryEngine(t, nil, 1)
+	instr := newTelemetryEngine(t, telemetry.NewRecorder(), 3)
+	serial := newTelemetryEngine(t, telemetry.NewRecorder(), 3, func(c *Config) { c.NoBackwardOverlap = true })
 	for i := 0; i < 3; i++ {
 		a, b, c := mustStep(t, plain), mustStep(t, instr), mustStep(t, serial)
 		if a.Loss != b.Loss || a.Accuracy != b.Accuracy {

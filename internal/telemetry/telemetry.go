@@ -21,7 +21,7 @@ type Phase int
 // (see StepRecord.OverlapEfficiency).
 const (
 	// PhaseDataWait is time spent obtaining input batches: blocking on the
-	// prefetch pipeline, or rendering+augmenting inline when prefetch is off.
+	// prefetch pipeline.
 	PhaseDataWait Phase = iota
 	// PhaseForward is model forward plus loss computation.
 	PhaseForward

@@ -47,33 +47,14 @@ const bnGroupWorld = -1
 
 // config accumulates option state until New validates and builds the engine.
 type config struct {
-	model           string
-	dataset         *data.Dataset
-	world           int
-	perReplicaBatch int
-	gradAccum       int
-	optimizer       string
-	weightDecay     float64
+	// engine is the replica configuration the engine options write into.
+	// New fills in what only it can resolve: Schedule, BNGroupSize (the
+	// bnGroupWorld sentinel), a zero Mesh, and Telemetry.
+	engine replica.Config
 	// scheduleFn defers schedule construction until the global batch and
 	// epoch count are known — what lets presets express the §3.2 linear
 	// scaling rule without knowing the final world size.
-	scheduleFn     func(globalBatch int, epochs int) schedule.Schedule
-	mesh           mesh.Shape
-	bnGroup        int
-	slice          topology.Slice
-	precision      bf16.Policy
-	labelSmoothing float64
-	seed           int64
-	dropout        float64
-	dropConnect    float64
-	augment        bool
-	bnMomentum     float64
-	emaDecay       float64
-
-	collective        comm.Provider
-	gradBuckets       int
-	prefetch          int
-	noBackwardOverlap bool
+	scheduleFn func(globalBatch int, epochs int) schedule.Schedule
 
 	epochs      int
 	evalEvery   int
@@ -94,19 +75,20 @@ type config struct {
 
 func defaultConfig() *config {
 	return &config{
-		model:           "pico",
-		world:           1,
-		perReplicaBatch: 32,
-		gradAccum:       1,
-		optimizer:       "sgd",
+		engine: replica.Config{
+			Model:           "pico",
+			World:           1,
+			PerReplicaBatch: 32,
+			GradAccumSteps:  1,
+			OptimizerName:   "sgd",
+			BNGroupSize:     1,
+			Precision:       bf16.DefaultPolicy,
+			Seed:            42,
+			BNMomentum:      0.9,
+		},
 		scheduleFn: func(int, int) schedule.Schedule {
 			return schedule.Constant(0.05)
 		},
-		bnGroup:     1,
-		precision:   bf16.DefaultPolicy,
-		seed:        42,
-		augment:     true,
-		bnMomentum:  0.9,
 		epochs:      1,
 		evalSamples: 64,
 		strategy:    Distributed{},
@@ -135,7 +117,7 @@ func WithModel(name string) Option {
 		if name == "" {
 			return fmt.Errorf("train: model name must not be empty")
 		}
-		c.model = name
+		c.engine.Model = name
 		return nil
 	}
 }
@@ -146,7 +128,7 @@ func WithDataset(ds *data.Dataset) Option {
 		if ds == nil {
 			return fmt.Errorf("train: dataset must not be nil")
 		}
-		c.dataset = ds
+		c.engine.Dataset = ds
 		return nil
 	}
 }
@@ -154,7 +136,7 @@ func WithDataset(ds *data.Dataset) Option {
 // WithData builds a SynthImageNet dataset from cfg and uses it.
 func WithData(cfg data.Config) Option {
 	return func(c *config) error {
-		c.dataset = data.New(cfg)
+		c.engine.Dataset = data.New(cfg)
 		return nil
 	}
 }
@@ -165,7 +147,7 @@ func WithWorld(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("train: world %d must be >= 1", n)
 		}
-		c.world = n
+		c.engine.World = n
 		return nil
 	}
 }
@@ -182,8 +164,8 @@ func WithMesh(d, m int) Option {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("train: %w", err)
 		}
-		c.mesh = s
-		c.world = s.World()
+		c.engine.Mesh = s
+		c.engine.World = s.World()
 		return nil
 	}
 }
@@ -194,7 +176,7 @@ func WithPerReplicaBatch(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("train: per-replica batch %d must be >= 1", n)
 		}
-		c.perReplicaBatch = n
+		c.engine.PerReplicaBatch = n
 		return nil
 	}
 }
@@ -207,7 +189,7 @@ func WithGradAccum(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("train: grad-accum steps %d must be >= 1", n)
 		}
-		c.gradAccum = n
+		c.engine.GradAccumSteps = n
 		return nil
 	}
 }
@@ -222,8 +204,8 @@ func WithOptimizer(name string, weightDecay float64) Option {
 		if weightDecay < 0 {
 			return fmt.Errorf("train: weight decay %g must be >= 0", weightDecay)
 		}
-		c.optimizer = name
-		c.weightDecay = weightDecay
+		c.engine.OptimizerName = name
+		c.engine.WeightDecay = weightDecay
 		return nil
 	}
 }
@@ -283,7 +265,7 @@ func WithCollective(p comm.Provider) Option {
 		if p.IsZero() {
 			return fmt.Errorf("train: collective provider must not be the zero value (use comm.RingProvider() etc.)")
 		}
-		c.collective = p
+		c.engine.Collective = p
 		return nil
 	}
 }
@@ -298,7 +280,7 @@ func WithGradBuckets(bytes int) Option {
 		if bytes < 4 {
 			return fmt.Errorf("train: grad bucket size %d bytes must hold at least one fp32 value", bytes)
 		}
-		c.gradBuckets = bytes
+		c.engine.GradBucketBytes = bytes
 		return nil
 	}
 }
@@ -311,34 +293,23 @@ func WithGradBuckets(bytes int) Option {
 // reduce vs reduce_tail split).
 func WithoutBackwardOverlap() Option {
 	return func(c *config) error {
-		c.noBackwardOverlap = true
+		c.engine.NoBackwardOverlap = true
 		return nil
 	}
 }
 
 // WithPrefetch sets the per-replica input-pipeline depth: the number of
 // rendered batches buffered ahead of the compute loop, with rendering and
-// augmentation running on a background goroutine per replica. Prefetching is
-// on by default (depth replica.DefaultPrefetchDepth); this option tunes the
-// depth. The prefetched and synchronous paths produce bit-for-bit identical
+// augmentation running on a background goroutine per replica (default
+// replica.DefaultPrefetchDepth). Every depth delivers bit-for-bit identical
 // batches, so this is purely a throughput knob. Call Session.Close when done
 // with a Session to release the pipeline goroutines.
 func WithPrefetch(depth int) Option {
 	return func(c *config) error {
 		if depth < 1 {
-			return fmt.Errorf("train: prefetch depth %d must be >= 1 (use WithoutPrefetch to disable)", depth)
+			return fmt.Errorf("train: prefetch depth %d must be >= 1", depth)
 		}
-		c.prefetch = depth
-		return nil
-	}
-}
-
-// WithoutPrefetch disables the input pipeline: every batch is rendered and
-// augmented synchronously on the training critical path — the pre-pipeline
-// behaviour, useful for ablations and single-goroutine debugging.
-func WithoutPrefetch() Option {
-	return func(c *config) error {
-		c.prefetch = replica.PrefetchOff
+		c.engine.PrefetchDepth = depth
 		return nil
 	}
 }
@@ -350,7 +321,7 @@ func WithBNGroup(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("train: BN group size %d must be >= 1", n)
 		}
-		c.bnGroup = n
+		c.engine.BNGroupSize = n
 		return nil
 	}
 }
@@ -359,7 +330,7 @@ func WithBNGroup(n int) Option {
 // world size turns out to be.
 func WithBNGroupAll() Option {
 	return func(c *config) error {
-		c.bnGroup = bnGroupWorld
+		c.engine.BNGroupSize = bnGroupWorld
 		return nil
 	}
 }
@@ -367,7 +338,7 @@ func WithBNGroupAll() Option {
 // WithSlice sets the TPU slice used for 2-D BN group tiling (§3.4).
 func WithSlice(s topology.Slice) Option {
 	return func(c *config) error {
-		c.slice = s
+		c.engine.Slice = s
 		return nil
 	}
 }
@@ -376,7 +347,7 @@ func WithSlice(s topology.Slice) Option {
 // default, as in the paper's §3.5).
 func WithPrecision(p bf16.Policy) Option {
 	return func(c *config) error {
-		c.precision = p
+		c.engine.Precision = p
 		return nil
 	}
 }
@@ -388,7 +359,7 @@ func WithLabelSmoothing(eps float64) Option {
 		if eps < 0 || eps >= 1 {
 			return fmt.Errorf("train: label smoothing %g must be in [0, 1)", eps)
 		}
-		c.labelSmoothing = eps
+		c.engine.LabelSmoothing = float32(eps)
 		return nil
 	}
 }
@@ -396,7 +367,7 @@ func WithLabelSmoothing(eps float64) Option {
 // WithSeed fixes model init and per-replica RNG streams.
 func WithSeed(seed int64) Option {
 	return func(c *config) error {
-		c.seed = seed
+		c.engine.Seed = seed
 		return nil
 	}
 }
@@ -408,8 +379,8 @@ func WithSeed(seed int64) Option {
 // mini-scale runs.
 func WithDropout(dropout, dropConnect float64) Option {
 	return func(c *config) error {
-		c.dropout = dropout
-		c.dropConnect = dropConnect
+		c.engine.DropoutOverride = dropout
+		c.engine.DropConnectOverride = dropConnect
 		return nil
 	}
 }
@@ -422,7 +393,7 @@ const ModelDefaultRate = -1
 // determinism tests where per-replica augmentation RNGs would diverge).
 func WithoutAugmentation() Option {
 	return func(c *config) error {
-		c.augment = false
+		c.engine.NoAugment = true
 		return nil
 	}
 }
@@ -434,7 +405,7 @@ func WithBNMomentum(m float64) Option {
 		if m < 0 || m >= 1 {
 			return fmt.Errorf("train: BN momentum %g must be in [0, 1)", m)
 		}
-		c.bnMomentum = m
+		c.engine.BNMomentum = m
 		return nil
 	}
 }
@@ -446,7 +417,7 @@ func WithEMA(decay float64) Option {
 		if decay <= 0 || decay >= 1 {
 			return fmt.Errorf("train: EMA decay %g must be in (0, 1)", decay)
 		}
-		c.emaDecay = decay
+		c.engine.EMADecay = decay
 		return nil
 	}
 }

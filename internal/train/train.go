@@ -3,6 +3,7 @@ package train
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"effnetscale/internal/checkpoint"
 	"effnetscale/internal/elastic"
@@ -10,7 +11,6 @@ import (
 	"effnetscale/internal/replica"
 	"effnetscale/internal/schedule"
 	"effnetscale/internal/telemetry"
-	"effnetscale/internal/trainloop"
 )
 
 // loopComponent is the snapshot component the Session owns on top of the
@@ -18,12 +18,44 @@ import (
 // far, which seeds the resumed run's peak tracking).
 const loopComponent = "trainloop"
 
-// EvalPoint is one evaluation snapshot (re-exported from the loop engine).
-type EvalPoint = trainloop.EvalPoint
+// EvalPoint is one evaluation snapshot.
+type EvalPoint struct {
+	Step     int
+	Epoch    float64
+	Accuracy float64
+	// Elapsed is the wall-clock time since the run started.
+	Elapsed time.Duration
+	// Wall is this evaluation's own wall-clock cost.
+	Wall time.Duration
+	// SerialSamples is the evaluation samples the busiest single worker
+	// processed — the per-point form of Result.EvalSerialSamples.
+	SerialSamples int
+}
 
 // Result summarizes a finished run.
 type Result struct {
-	*trainloop.Result
+	History []EvalPoint
+	// PeakAccuracy is the best evaluation accuracy so far, including a
+	// resumed session's pre-resume best, so a resumed run reports the peak
+	// the uninterrupted run would.
+	PeakAccuracy float64
+	// TimeToPeak is the elapsed wall-clock time at which this Run first
+	// raised the peak — the paper's Figure 1 metric. It stays zero when the
+	// peak predates this Run (wall-clock is not resumable state).
+	TimeToPeak time.Duration
+	TotalTime  time.Duration
+	// StepsRun counts steps executed by this Run call; a resumed run counts
+	// only post-resume steps (EvalPoint.Step carries the global numbering).
+	StepsRun int
+	// EvalSerialSamples counts evaluation samples processed serially by the
+	// busiest worker — the deterministic measure of the §3.3 bottleneck
+	// (the Estimator strategy processes world× more than Distributed).
+	EvalSerialSamples int
+	// EvalWallTime accumulates wall-clock time spent in evaluation.
+	EvalWallTime time.Duration
+	// Stopped reports that Session.Stop (a callback such as StopAfterStep
+	// or StopAtAccuracy) ended the run before all epochs.
+	Stopped bool
 	// ReachedGoal reports that a StopAtAccuracy callback (WithTarget) ended
 	// the run at its target accuracy.
 	ReachedGoal bool
@@ -46,7 +78,6 @@ type Result struct {
 type Session struct {
 	cfg       *config
 	eng       *replica.Engine
-	sched     schedule.Schedule
 	callbacks []Callback
 
 	stop bool
@@ -84,25 +115,19 @@ func New(opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	if c.dataset == nil {
+	ec := &c.engine
+	if ec.Dataset == nil {
 		return nil, fmt.Errorf("train: a dataset is required (use WithDataset, WithData, or a preset)")
 	}
-	msh := c.mesh
-	if msh == (mesh.Shape{}) {
-		msh = mesh.Shape{Data: c.world, Model: 1}
-	}
-	if msh.World() != c.world {
-		return nil, fmt.Errorf("train: mesh %s covers %d ranks but the world is %d (WithWorld and WithMesh disagree)", msh, msh.World(), c.world)
+	if ec.Mesh == (mesh.Shape{}) {
+		ec.Mesh = mesh.Shape{Data: ec.World, Model: 1}
 	}
 	// BN groups tile the data axis: the m model shards of a group compute
 	// identical activations, so only data-parallel replicas contribute
-	// distinct batch statistics.
-	bnGroup := c.bnGroup
-	if bnGroup == bnGroupWorld {
-		bnGroup = msh.Data
-	}
-	if msh.Data%bnGroup != 0 {
-		return nil, fmt.Errorf("train: BN group size %d does not divide the mesh's data axis %d", bnGroup, msh.Data)
+	// distinct batch statistics. replica.New checks that the group divides
+	// the axis and that the mesh covers the world.
+	if ec.BNGroupSize == bnGroupWorld {
+		ec.BNGroupSize = ec.Mesh.Data
 	}
 	if c.snapshotEvery > 0 && c.snapshotDir == "" {
 		return nil, fmt.Errorf("train: WithSnapshotEvery needs WithSnapshotDir")
@@ -116,67 +141,41 @@ func New(opts ...Option) (*Session, error) {
 	var elasticSnap *checkpoint.Snapshot
 	var elasticSrc string
 	if c.resume != "" && c.elastic {
-		if msh.Model > 1 {
-			return nil, fmt.Errorf("train: elastic resume only re-partitions the data axis; the %s mesh has a model axis", msh)
+		if ec.Mesh.Model > 1 {
+			return nil, fmt.Errorf("train: elastic resume only re-partitions the data axis; the %s mesh has a model axis", ec.Mesh)
 		}
 		snap, src, err := checkpoint.ReadSnapshotPath(c.resume)
 		if err != nil {
 			return nil, fmt.Errorf("train: resume: %w", err)
 		}
-		plan, err := elastic.Plan(snap, mesh.Shape{Data: msh.Data, Model: 1},
-			elastic.WithGeometryHint(c.perReplicaBatch, c.gradAccum))
+		plan, err := elastic.Plan(snap, ec.Mesh, elastic.WithGeometryHint(ec.PerReplicaBatch, ec.GradAccumSteps))
 		if err != nil {
 			return nil, fmt.Errorf("train: resume %s: %w", src, err)
 		}
-		c.perReplicaBatch, c.gradAccum = plan.PerReplicaBatch, plan.GradAccum
+		ec.PerReplicaBatch, ec.GradAccumSteps = plan.PerReplicaBatch, plan.GradAccum
 		elasticSnap, elasticSrc = snap, src
 	}
-	globalBatch := msh.Data * c.perReplicaBatch * c.gradAccum
-	sched := c.scheduleFn(globalBatch, c.epochs)
+	ec.Schedule = c.scheduleFn(ec.Mesh.Data*ec.PerReplicaBatch*ec.GradAccumSteps, c.epochs)
 
 	var rec *telemetry.Recorder
 	if c.telemetryOn {
 		rec = telemetry.NewRecorder(c.telemetrySinks...)
+		ec.Telemetry = rec
 	}
 
-	eng, err := replica.New(replica.Config{
-		World:               c.world,
-		Mesh:                msh,
-		PerReplicaBatch:     c.perReplicaBatch,
-		Model:               c.model,
-		Dataset:             c.dataset,
-		OptimizerName:       c.optimizer,
-		WeightDecay:         c.weightDecay,
-		Schedule:            sched,
-		BNGroupSize:         bnGroup,
-		Slice:               c.slice,
-		Precision:           c.precision,
-		LabelSmoothing:      float32(c.labelSmoothing),
-		Seed:                c.seed,
-		DropoutOverride:     c.dropout,
-		DropConnectOverride: c.dropConnect,
-		NoAugment:           !c.augment,
-		BNMomentum:          c.bnMomentum,
-		GradAccumSteps:      c.gradAccum,
-		EMADecay:            c.emaDecay,
-		Collective:          c.collective,
-		GradBucketBytes:     c.gradBuckets,
-		NoBackwardOverlap:   c.noBackwardOverlap,
-		PrefetchDepth:       c.prefetch,
-		Telemetry:           rec,
-	})
+	eng, err := replica.New(*ec)
 	if err != nil {
 		return nil, fmt.Errorf("train: %w", err)
 	}
 
-	s := &Session{cfg: c, eng: eng, sched: sched, callbacks: c.callbacks, rec: rec}
+	s := &Session{cfg: c, eng: eng, callbacks: c.callbacks, rec: rec}
 	if c.targetAcc > 0 {
 		s.callbacks = append(s.callbacks, StopAtAccuracy(c.targetAcc))
 	}
 	if c.resume != "" {
 		var rerr error
 		if c.elastic {
-			rerr = s.restoreElastic(elasticSnap, elasticSrc, msh)
+			rerr = s.restoreElastic(elasticSnap, elasticSrc)
 		} else {
 			rerr = s.restoreFrom(c.resume)
 		}
@@ -211,9 +210,9 @@ func (s *Session) restoreFrom(path string) error {
 // same snapshot, so the reshard here is either the identity (same world —
 // the original snapshot passes through, keeping the bit-for-bit path) or the
 // per-rank re-partition.
-func (s *Session) restoreElastic(snap *checkpoint.Snapshot, src string, msh mesh.Shape) error {
-	resharded, err := elastic.Reshard(snap, mesh.Shape{Data: msh.Data, Model: 1},
-		elastic.WithGeometryHint(s.cfg.perReplicaBatch, s.cfg.gradAccum))
+func (s *Session) restoreElastic(snap *checkpoint.Snapshot, src string) error {
+	ec := &s.cfg.engine
+	resharded, err := elastic.Reshard(snap, ec.Mesh, elastic.WithGeometryHint(ec.PerReplicaBatch, ec.GradAccumSteps))
 	if err != nil {
 		return fmt.Errorf("train: resume %s: %w", src, err)
 	}
@@ -270,7 +269,8 @@ func (s *Session) Engine() *replica.Engine { return s.eng }
 // sinks, and releases the engine's input-pipeline goroutines and buffers.
 // The returned error is a telemetry sink flush failure (a full disk under a
 // JSONL sink, say) — snapshot-write failures surfaced during the run via
-// Result.CheckpointErrors. A Session must not Run after Close. Idempotent.
+// Result.CheckpointErrors. A Run after Close fails with an error wrapping
+// replica.ErrClosed. Idempotent.
 func (s *Session) Close() error {
 	if s.writer != nil {
 		s.writer.Close()
@@ -293,7 +293,7 @@ func (s *Session) Telemetry() *telemetry.Recorder { return s.rec }
 func (s *Session) GlobalBatch() int { return s.eng.GlobalBatch() }
 
 // Schedule returns the resolved LR schedule (after linear scaling).
-func (s *Session) Schedule() schedule.Schedule { return s.sched }
+func (s *Session) Schedule() schedule.Schedule { return s.cfg.engine.Schedule }
 
 // Strategy returns the configured evaluation strategy.
 func (s *Session) Strategy() EvalStrategy { return s.cfg.strategy }
@@ -387,7 +387,7 @@ func (s *Session) scheduleCurve() []float64 {
 	curve := make([]float64, samples+1)
 	total := float64(s.cfg.epochs)
 	for i := range curve {
-		curve[i] = s.sched.LR(total * float64(i) / samples)
+		curve[i] = s.Schedule().LR(total * float64(i) / samples)
 	}
 	return curve
 }
@@ -460,87 +460,82 @@ func (s *Session) drainWriterEvents() {
 	}
 }
 
-// Run drives the trainloop engine to completion under the configured
-// callbacks and evaluation strategy. Run may be called again to continue
-// training the same weights for another round of epochs.
+// Run trains the engine through the configured epochs — the §3.3
+// train+eval loop — and returns the run's history. Each step runs the
+// engine, then the OnStep callbacks; on the eval cadence and at the final
+// step the strategy evaluates and OnEval fires; then finished snapshot
+// writes are reported and, on the snapshot cadence, the state is captured
+// with that evaluation already recorded (the quiescent boundary a
+// bit-for-bit resume needs); last, a Stop request ends the run without a
+// final evaluation.
+//
+// The first Run after WithResume continues from the restored step with the
+// original step numbering and evaluation cadence. Any other Run trains
+// another round of epochs on the same weights.
 func (s *Session) Run() (*Result, error) {
 	s.stop = false
-	s.cur = &Result{}
+	res := &Result{}
+	s.cur = res
 	startStep := 0
 	if s.resumePending {
-		// Only the first Run after a restore starts mid-loop; later Runs
-		// keep today's "another round of epochs" semantics.
 		startStep = s.resumeStep
 		s.resumePending = false
-		s.cur.Resumed = true
+		res.Resumed = true
+	}
+	spe := s.eng.StepsPerEpoch()
+	total := s.cfg.epochs * spe
+	evalEvery := s.cfg.evalEvery
+	if evalEvery <= 0 {
+		evalEvery = spe
 	}
 	if s.rec != nil {
 		s.rec.BeginRun(telemetry.RunInfo{
 			World:         s.eng.World(),
 			GlobalBatch:   s.eng.GlobalBatch(),
-			StepsPerEpoch: s.eng.StepsPerEpoch(),
-			TotalSteps:    s.cfg.epochs * s.eng.StepsPerEpoch(),
+			StepsPerEpoch: spe,
+			TotalSteps:    total,
 		})
 	}
-	loopRes, err := trainloop.Run(trainloop.Config{
-		Engine:                s.eng,
-		Epochs:                s.cfg.epochs,
-		EvalEverySteps:        s.cfg.evalEvery,
-		EvalSamplesPerReplica: s.cfg.evalSamples,
-		Evaluator:             s.cfg.strategy,
-		Stop:                  func() bool { return s.stop },
-		StartStep:             startStep,
-		InitialBest:           s.best,
-		Hooks: trainloop.Hooks{
-			OnStep: func(step int, res replica.StepResult) {
-				for _, cb := range s.callbacks {
-					cb.OnStep(s, step, res)
-				}
-			},
-			OnEval: func(pt EvalPoint) {
-				if pt.Accuracy > s.best {
-					s.best = pt.Accuracy
-				}
-				if s.rec != nil {
-					s.rec.EvalDone(telemetry.EvalRecord{
-						Step:          pt.Step,
-						Epoch:         pt.Epoch,
-						Accuracy:      pt.Accuracy,
-						Wall:          pt.Wall,
-						SerialSamples: pt.SerialSamples,
-					})
-				}
-				for _, cb := range s.callbacks {
-					cb.OnEval(s, pt)
-				}
-			},
-			OnStepEnd: func(step int) {
-				s.drainWriterEvents()
-				if s.writer != nil && s.cfg.snapshotEvery > 0 && step%s.cfg.snapshotEvery == 0 {
-					// Capture is synchronous (a memory copy of the state);
-					// encoding and the fsynced write happen on the writer
-					// goroutine while training continues.
-					snap, err := s.captureSnapshot()
-					if err != nil {
-						s.NotifyCheckpoint(s.cfg.snapshotDir, err)
-						return
-					}
-					s.writer.Enqueue(int64(step), snap)
-				}
-			},
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("train: %w", err)
+	start := time.Now()
+	// step is the global 1-based step number, stable across a resume.
+	for step := startStep + 1; step <= total; step++ {
+		stepRes, err := s.eng.Step()
+		if err != nil {
+			return nil, fmt.Errorf("train: step %d: %w", step, err)
+		}
+		res.StepsRun++
+		for _, cb := range s.callbacks {
+			cb.OnStep(s, step, stepRes)
+		}
+		if step%evalEvery == 0 || step == total {
+			if err := s.evaluate(res, step, start); err != nil {
+				return nil, err
+			}
+		}
+		s.drainWriterEvents()
+		if s.writer != nil && step%s.cfg.snapshotEvery == 0 {
+			// Capture is synchronous (a memory copy of the state); encoding
+			// and the fsynced write happen on the writer goroutine while
+			// training continues.
+			if snap, err := s.captureSnapshot(); err != nil {
+				s.NotifyCheckpoint(s.cfg.snapshotDir, err)
+			} else {
+				s.writer.Enqueue(int64(step), snap)
+			}
+		}
+		if s.stop {
+			res.Stopped = true
+			break
+		}
 	}
+	res.TotalTime = time.Since(start)
+	res.PeakAccuracy = s.best
 	if s.writer != nil {
 		// The run's Result owns every snapshot outcome: wait for in-flight
 		// writes and fold their events in before handing the Result out.
 		s.writer.Flush()
 		s.drainWriterEvents()
 	}
-	res := s.cur
-	res.Result = loopRes
 	if s.rec != nil {
 		sum := s.rec.Summary()
 		res.Telemetry = &sum
@@ -550,4 +545,44 @@ func (s *Session) Run() (*Result, error) {
 	}
 	s.cur = nil
 	return res, nil
+}
+
+// evaluate scores the model after global step step, records the point in
+// res and the session's best accuracy, and notifies telemetry and the
+// OnEval callbacks.
+func (s *Session) evaluate(res *Result, step int, runStart time.Time) error {
+	t0 := time.Now()
+	acc, serial, err := s.cfg.strategy.Evaluate(s.eng, s.cfg.evalSamples)
+	if err != nil {
+		return fmt.Errorf("train: eval at step %d: %w", step, err)
+	}
+	wall := time.Since(t0)
+	pt := EvalPoint{
+		Step:          step,
+		Epoch:         float64(step) / float64(s.eng.StepsPerEpoch()),
+		Accuracy:      acc,
+		Elapsed:       time.Since(runStart),
+		Wall:          wall,
+		SerialSamples: serial,
+	}
+	res.History = append(res.History, pt)
+	res.EvalSerialSamples += serial
+	res.EvalWallTime += pt.Wall
+	if acc > s.best {
+		s.best = acc
+		res.TimeToPeak = pt.Elapsed
+	}
+	if s.rec != nil {
+		s.rec.EvalDone(telemetry.EvalRecord{
+			Step:          pt.Step,
+			Epoch:         pt.Epoch,
+			Accuracy:      pt.Accuracy,
+			Wall:          pt.Wall,
+			SerialSamples: pt.SerialSamples,
+		})
+	}
+	for _, cb := range s.callbacks {
+		cb.OnEval(s, pt)
+	}
+	return nil
 }

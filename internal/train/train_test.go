@@ -76,20 +76,20 @@ func TestOptionValidationErrors(t *testing.T) {
 }
 
 func TestPrefetchOptionsPlumbThrough(t *testing.T) {
-	on, err := New(miniOpts(2, 4, 1, WithPrefetch(3))...)
+	shallow, err := New(miniOpts(2, 4, 1, WithPrefetch(1))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer on.Close()
-	if got := on.Engine().Prefetching(); got != 3 {
-		t.Fatalf("WithPrefetch(3): engine depth %d", got)
-	}
-	off, err := New(miniOpts(2, 4, 1, WithoutPrefetch())...)
+	defer shallow.Close()
+	deep, err := New(miniOpts(2, 4, 1, WithPrefetch(3))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := off.Engine().Prefetching(); got != 0 {
-		t.Fatalf("WithoutPrefetch: engine depth %d, want 0", got)
+	defer deep.Close()
+	for want, sess := range map[int]*Session{1: shallow, 3: deep} {
+		if got := sess.Engine().Prefetching(); got != want {
+			t.Fatalf("WithPrefetch(%d): engine depth %d", want, got)
+		}
 	}
 	def, err := New(miniOpts(2, 4, 1)...)
 	if err != nil {
@@ -99,20 +99,28 @@ func TestPrefetchOptionsPlumbThrough(t *testing.T) {
 	if got := def.Engine().Prefetching(); got != replica.DefaultPrefetchDepth {
 		t.Fatalf("default: engine depth %d, want %d", got, replica.DefaultPrefetchDepth)
 	}
-	// Both modes must run and agree on the trajectory (no augmentation, so
-	// the only difference is who renders).
-	resOn, err := on.Run()
+	// Depth is trajectory-neutral: both runs evaluate bit-for-bit alike.
+	resShallow, err := shallow.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOff, err := off.Run()
+	resDeep, err := deep.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resOn.PeakAccuracy != resOff.PeakAccuracy {
-		t.Fatalf("prefetched peak %v != synchronous peak %v", resOn.PeakAccuracy, resOff.PeakAccuracy)
+	if !reflect.DeepEqual(accuracies(resShallow), accuracies(resDeep)) {
+		t.Fatalf("depth 1 evals %v != depth 3 evals %v", accuracies(resShallow), accuracies(resDeep))
 	}
-	on.Close() // double Close is safe
+	deep.Close() // double Close is safe
+}
+
+// accuracies lists a run's evaluation accuracies in order.
+func accuracies(res *Result) []float64 {
+	out := make([]float64, len(res.History))
+	for i, pt := range res.History {
+		out[i] = pt.Accuracy
+	}
+	return out
 }
 
 func TestDecayByName(t *testing.T) {
