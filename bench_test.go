@@ -300,7 +300,7 @@ func runCollective(colls []comm.Collective, body func(c comm.Collective)) {
 	}
 }
 
-// --- Collective algorithms and staging-buffer reuse ------------------------------
+// --- Collective algorithms ---------------------------------------------------------
 
 // BenchmarkCollective compares the all-reduce algorithms behind the
 // comm.Collective interface on identical payloads: the flat ring, the
@@ -335,13 +335,10 @@ func BenchmarkCollective(b *testing.B) {
 		})
 	}
 
-	// Staging-buffer reuse ablation: every ring/tree hop used to allocate a
-	// fresh chunk slice, so one 8-rank collective allocated O(n²) buffers.
-	// With per-rank staging pools the steady state reuses them. Measured
-	// before the pools (same shapes, 8 ranks): AllGather 81 allocs/op and
-	// 918 KB/op; RingAllReduce 137 allocs/op and 1.8 MB/op; Broadcast 32
-	// allocs/op; ReduceScatter 89 allocs/op. The remaining allocations are
-	// the per-op goroutine fan-out, not per-hop buffers.
+	// Ranks read their peers' buffers straight from the world's shared
+	// slots, so a warm collective allocates nothing
+	// (TestWarmCollectivesAllocateNothing); what allocs/op reports here is
+	// runCollective's per-op goroutine fan-out.
 	b.Run("allgather_8ranks_16K", func(b *testing.B) {
 		colls, err := comm.RingProvider().Connect(8)
 		if err != nil {

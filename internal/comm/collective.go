@@ -18,8 +18,11 @@ import (
 
 // Collective is one rank's endpoint of a communication world. All methods
 // are synchronous SPMD collectives: every rank of the world must enter the
-// same call (in the same order) from its own goroutine, or the world
-// deadlocks — the lockstep semantics of TPU collectives.
+// same call (in the same order) from its own goroutine — the lockstep
+// semantics of TPU collectives. Ranks of one world that enter different
+// calls or lengths all panic with a message naming both calls; a rank that
+// never enters leaves the others waiting. A rank makes one call at a time
+// on an endpoint.
 type Collective interface {
 	// Rank returns this endpoint's rank in [0, WorldSize).
 	Rank() int
@@ -38,7 +41,8 @@ type Collective interface {
 	// owns of the reduced result (chunk (rank+1) mod n per chunkBounds).
 	// buf is left in an unspecified partially-reduced state.
 	ReduceScatter(buf []float32) []float32
-	// Broadcast copies root's buf to every rank.
+	// Broadcast copies root's buf to every rank. A root outside
+	// [0, WorldSize) panics on every rank.
 	Broadcast(buf []float32, root int)
 	// Barrier blocks until every rank has entered it.
 	Barrier()
@@ -54,7 +58,7 @@ type Collective interface {
 // all-gather, 2(n−1)/n · |buf| bytes per link. The right choice for large
 // gradient payloads on a 1-D ring.
 type Ring struct {
-	p *Peer
+	p *peer
 }
 
 // Rank implements Collective.
@@ -64,22 +68,22 @@ func (r *Ring) Rank() int { return r.p.rank }
 func (r *Ring) WorldSize() int { return r.p.w.n }
 
 // AllReduce implements Collective.
-func (r *Ring) AllReduce(buf []float32) { r.p.ringAllReduce(buf) }
+func (r *Ring) AllReduce(buf []float32) { ringAllReduce(r.p, buf) }
 
 // AllReduceF64 implements Collective.
-func (r *Ring) AllReduceF64(buf []float64) { r.p.ringAllReduceF64(buf) }
+func (r *Ring) AllReduceF64(buf []float64) { ringAllReduce(r.p, buf) }
 
 // AllGather implements Collective.
-func (r *Ring) AllGather(local, out []float32) { r.p.allGather(local, out) }
+func (r *Ring) AllGather(local, out []float32) { allGather(r.p, local, out) }
 
 // ReduceScatter implements Collective.
-func (r *Ring) ReduceScatter(buf []float32) []float32 { return r.p.reduceScatter(buf) }
+func (r *Ring) ReduceScatter(buf []float32) []float32 { return reduceScatter(r.p, buf) }
 
 // Broadcast implements Collective.
-func (r *Ring) Broadcast(buf []float32, root int) { r.p.broadcast(buf, root) }
+func (r *Ring) Broadcast(buf []float32, root int) { broadcast(r.p, buf, root) }
 
 // Barrier implements Collective.
-func (r *Ring) Barrier() { r.p.Barrier() }
+func (r *Ring) Barrier() { r.p.barrier() }
 
 // Algorithm implements Collective.
 func (r *Ring) Algorithm() string { return "ring" }
@@ -97,10 +101,10 @@ type Tree struct {
 }
 
 // AllReduce implements Collective.
-func (t *Tree) AllReduce(buf []float32) { t.p.treeAllReduce(buf) }
+func (t *Tree) AllReduce(buf []float32) { treeAllReduce(t.p, buf) }
 
 // AllReduceF64 implements Collective.
-func (t *Tree) AllReduceF64(buf []float64) { t.p.treeAllReduceF64(buf) }
+func (t *Tree) AllReduceF64(buf []float64) { treeAllReduce(t.p, buf) }
 
 // Algorithm implements Collective. On non-power-of-two worlds, where the
 // recursive-doubling exchange has no partner for every rank, it reports the
@@ -124,13 +128,16 @@ func (t *Tree) Algorithm() string {
 // instead of circling one long ring — the reason pods run it.
 //
 // AllGather/ReduceScatter/Broadcast/Barrier use a flat ring over all ranks;
-// the hierarchical decomposition is an all-reduce algorithm.
+// the hierarchical decomposition is an all-reduce algorithm. Rows and
+// columns are worlds of their own, so an all-reduce checks for mismatched
+// calls per row and per column: ranks whose row matched can be left waiting
+// in the column phase.
 type Torus2D struct {
 	rank, n int
 	grid    topology.Slice
-	row     *Peer // ring over this rank's row (size grid.Cols)
-	col     *Peer // ring over this rank's column (size grid.Rows)
-	flat    *Peer // flat ring over all ranks for non-hierarchical ops
+	row     *peer // ring over this rank's row (size grid.Cols)
+	col     *peer // ring over this rank's column (size grid.Rows)
+	flat    *peer // flat ring over all ranks for non-hierarchical ops
 }
 
 // Rank implements Collective.
@@ -143,55 +150,42 @@ func (t *Torus2D) WorldSize() int { return t.n }
 func (t *Torus2D) Grid() topology.Slice { return t.grid }
 
 // AllReduce implements Collective with the row-then-column hierarchy.
-func (t *Torus2D) AllReduce(buf []float32) {
-	rows, cols := t.grid.Rows, t.grid.Cols
+func (t *Torus2D) AllReduce(buf []float32) { torusAllReduce(t, buf) }
+
+// AllReduceF64 implements Collective.
+func (t *Torus2D) AllReduceF64(buf []float64) { torusAllReduce(t, buf) }
+
+func torusAllReduce[T float](t *Torus2D, buf []T) {
 	if t.n == 1 {
 		return
 	}
-	if rows == 1 || cols == 1 {
+	if t.grid.Rows == 1 || t.grid.Cols == 1 {
 		// Degenerate grid: one ring covers everything.
-		t.flat.ringAllReduce(buf)
+		ringAllReduce(t.flat, buf)
 		return
 	}
-	// Phase 1: reduce-scatter along the row; this rank ends owning the
-	// row-sum of chunk (col+1) mod cols.
-	t.row.ringReduceScatter(buf)
-	lo, hi := chunkBounds(len(buf), cols, (t.row.rank+1)%cols)
+	// Phase 1: reduce-scatter along the row; this rank folds the row-sum of
+	// chunk (col+1) mod cols into its row scratch.
+	own := foldChunk(t.row, reduceOp[T](), buf)
 	// Phase 2: all-reduce the owned share along the column. Every rank of a
 	// column owns the same chunk index, so the share is fully reduced across
 	// the whole world after this phase.
-	t.col.ringAllReduce(buf[lo:hi])
+	ringAllReduce(t.col, own)
 	// Phase 3: all-gather along the row to rebuild the full buffer.
-	t.row.ringAllGather(buf)
-}
-
-// AllReduceF64 implements Collective.
-func (t *Torus2D) AllReduceF64(buf []float64) {
-	rows, cols := t.grid.Rows, t.grid.Cols
-	if t.n == 1 {
-		return
-	}
-	if rows == 1 || cols == 1 {
-		t.flat.ringAllReduceF64(buf)
-		return
-	}
-	t.row.ringReduceScatterF64(buf)
-	lo, hi := chunkBounds(len(buf), cols, (t.row.rank+1)%cols)
-	t.col.ringAllReduceF64(buf[lo:hi])
-	t.row.ringAllGatherF64(buf)
+	gatherChunks(t.row, buf)
 }
 
 // AllGather implements Collective.
-func (t *Torus2D) AllGather(local, out []float32) { t.flat.allGather(local, out) }
+func (t *Torus2D) AllGather(local, out []float32) { allGather(t.flat, local, out) }
 
 // ReduceScatter implements Collective.
-func (t *Torus2D) ReduceScatter(buf []float32) []float32 { return t.flat.reduceScatter(buf) }
+func (t *Torus2D) ReduceScatter(buf []float32) []float32 { return reduceScatter(t.flat, buf) }
 
 // Broadcast implements Collective.
-func (t *Torus2D) Broadcast(buf []float32, root int) { t.flat.broadcast(buf, root) }
+func (t *Torus2D) Broadcast(buf []float32, root int) { broadcast(t.flat, buf, root) }
 
 // Barrier implements Collective.
-func (t *Torus2D) Barrier() { t.flat.Barrier() }
+func (t *Torus2D) Barrier() { t.flat.barrier() }
 
 // Algorithm implements Collective.
 func (t *Torus2D) Algorithm() string {
@@ -339,10 +333,10 @@ func RingProvider() Provider {
 	return Provider{
 		name: "ring",
 		connect: func(n int, _ topology.Slice) ([]Collective, error) {
-			w := NewWorld(n)
+			w := newWorld(n)
 			out := make([]Collective, n)
 			for r := 0; r < n; r++ {
-				out[r] = &Ring{p: w.Peer(r)}
+				out[r] = &Ring{p: w.peer(r)}
 			}
 			return out, nil
 		},
@@ -358,10 +352,10 @@ func TreeProvider() Provider {
 	return Provider{
 		name: "tree",
 		connect: func(n int, _ topology.Slice) ([]Collective, error) {
-			w := NewWorld(n)
+			w := newWorld(n)
 			out := make([]Collective, n)
 			for r := 0; r < n; r++ {
-				out[r] = &Tree{Ring{p: w.Peer(r)}}
+				out[r] = &Tree{Ring{p: w.peer(r)}}
 			}
 			return out, nil
 		},
@@ -401,25 +395,21 @@ func AutoProvider(slice topology.Slice) Provider {
 		name:  "auto",
 		slice: slice,
 		connect: func(n int, slice topology.Slice) ([]Collective, error) {
-			grid := gridFor(n, slice)
-			rings, err := RingProvider().Connect(n)
-			if err != nil {
-				return nil, err
-			}
-			trees, err := TreeProvider().Connect(n)
-			if err != nil {
-				return nil, err
-			}
-			tori, err := connectTorus2D(n, grid)
+			tori, err := connectTorus2D(n, gridFor(n, slice))
 			if err != nil {
 				return nil, err
 			}
 			out := make([]Collective, n)
 			for r := 0; r < n; r++ {
+				// Ring and tree run on the torus's flat world: a rank makes
+				// one call at a time, and a per-call choice that differs
+				// across ranks (different lengths) then fails the mismatch
+				// check instead of waiting in two worlds.
+				torus := tori[r].(*Torus2D)
 				out[r] = &Auto{
-					ring:  rings[r].(*Ring),
-					tree:  trees[r].(*Tree),
-					torus: tori[r].(*Torus2D),
+					ring:  &Ring{p: torus.flat},
+					tree:  &Tree{Ring{p: torus.flat}},
+					torus: torus,
 					lp:    TPUv3Links,
 				}
 			}
@@ -478,15 +468,15 @@ func connectTorus2D(n int, grid topology.Slice) ([]Collective, error) {
 	if rows*cols != n {
 		return nil, fmt.Errorf("comm: torus grid %dx%d does not cover world %d", rows, cols, n)
 	}
-	rowWorlds := make([]*World, rows)
+	rowWorlds := make([]*world, rows)
 	for r := range rowWorlds {
-		rowWorlds[r] = NewWorld(cols)
+		rowWorlds[r] = newWorld(cols)
 	}
-	colWorlds := make([]*World, cols)
+	colWorlds := make([]*world, cols)
 	for c := range colWorlds {
-		colWorlds[c] = NewWorld(rows)
+		colWorlds[c] = newWorld(rows)
 	}
-	flat := NewWorld(n)
+	flat := newWorld(n)
 	out := make([]Collective, n)
 	for rank := 0; rank < n; rank++ {
 		r, c := rank/cols, rank%cols
@@ -494,9 +484,9 @@ func connectTorus2D(n int, grid topology.Slice) ([]Collective, error) {
 			rank: rank,
 			n:    n,
 			grid: grid,
-			row:  rowWorlds[r].Peer(c),
-			col:  colWorlds[c].Peer(r),
-			flat: flat.Peer(rank),
+			row:  rowWorlds[r].peer(c),
+			col:  colWorlds[c].peer(r),
+			flat: flat.peer(rank),
 		}
 	}
 	return out, nil

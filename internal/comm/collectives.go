@@ -1,159 +1,172 @@
 package comm
 
-// Additional transport-level collectives beyond the ring all-reduce:
-// broadcast, all-gather, reduce-scatter and a recursive-doubling tree
-// all-reduce. These are the building blocks the Collective implementations
-// (collective.go) compose; the ring variants are bandwidth-optimal for large
-// payloads, the tree variant beats them for small latency-bound payloads.
+import "fmt"
 
-// broadcast copies root's buf to every rank (ring pipeline). All ranks must
-// pass buffers of the same length; non-root contents are overwritten.
-func (p *Peer) broadcast(buf []float32, root int) {
-	n := p.w.n
-	if n == 1 {
+// The collective algorithms over a world's shared slots. Each publishes its
+// buffer (publish: post, first wait, mismatch check), reads its peers' slots,
+// and waits again before returning, so a peer never reads a buffer its owner
+// has already handed back to the caller. The addition orders are the ones a
+// hop-by-hop ring and tree use (see doc.go), which keeps results — and the
+// training runs built on them — bit-identical to those algorithms.
+
+// reduceOp names an all-reduce over element type T.
+func reduceOp[T float]() Op {
+	var z T
+	if _, ok := any(z).(float32); ok {
+		return OpAllReduce
+	}
+	return OpAllReduceF64
+}
+
+// ringAllReduce sums buf element-wise across all ranks; on return every
+// rank's buf holds the identical total. It is the ring's reduce-scatter
+// followed by its all-gather: rank r folds chunk (r+1) mod n, then every
+// rank copies each chunk from the rank that folded it.
+func ringAllReduce[T float](p *peer, buf []T) {
+	if p.w.n == 1 {
 		return
 	}
-	rank := p.rank
-	prev := (rank - 1 + n) % n
-	send := p.w.f32[rank]
-	recv := p.w.f32[prev]
-	// Positions along the ring starting at root.
-	pos := ((rank-root)%n + n) % n
-	// Each rank (except the last) forwards once; each rank (except root)
-	// receives once. Receive strictly before forwarding.
-	if pos != 0 {
-		in := <-recv
-		if len(in) != len(buf) {
-			panic("comm: broadcast buffer length mismatch across ranks")
+	foldChunk(p, reduceOp[T](), buf)
+	gatherChunks(p, buf)
+}
+
+// foldChunk publishes buf and sums chunk c = (rank+1) mod n (bounds per
+// chunkBounds) of every rank's buffer into this rank's scratch, in ring
+// order: x_c, then + x_{c+1}, …, + x_{c+n−1}, indices mod n — the order in
+// which the n−1 reduce-scatter hops of a ring add them. It returns the
+// scratch chunk. Peers are still reading buf, so the caller waits on the
+// world once more (gatherChunks does) before returning.
+func foldChunk[T float](p *peer, op Op, buf []T) []T {
+	publish(p, op, buf, 0)
+	n := p.w.n
+	c := (p.rank + 1) % n
+	lo, hi := chunkBounds(len(buf), n, c)
+	acc := scratch[T](p, hi-lo)
+	chunk := func(k int) []T { return laneOf[T](&p.w.slots[(c+k)%n]).buf[lo:hi][:len(acc)] }
+	copy(acc, chunk(0))
+	// Three sources per pass load and store acc a third as often; each
+	// element still adds one source at a time, left to right.
+	k := 1
+	for ; k+3 <= n; k += 3 {
+		a, b, d := chunk(k), chunk(k+1), chunk(k+2)
+		for i := range acc {
+			acc[i] = acc[i] + a[i] + b[i] + d[i]
 		}
-		copy(buf, in)
-		p.release32(prev, in)
 	}
-	if pos != n-1 {
-		out := p.stage32(len(buf))
-		copy(out, buf)
-		send <- out
+	for ; k < n; k++ {
+		a := chunk(k)
+		for i := range acc {
+			acc[i] += a[i]
+		}
 	}
-	p.Barrier()
+	return acc
+}
+
+// gatherChunks is the second half of a ring all-reduce: it waits until every
+// rank has folded its chunk, then copies chunk j of the total from the
+// scratch of rank (j−1) mod n into buf. Peers read buf only before this
+// wait, and read this rank's scratch only after it — until their next call's
+// first wait, which this rank cannot pass before they arrive.
+func gatherChunks[T float](p *peer, buf []T) {
+	p.w.bar.wait()
+	n := p.w.n
+	for j := 0; j < n; j++ {
+		lo, hi := chunkBounds(len(buf), n, j)
+		copy(buf[lo:hi], laneOf[T](&p.w.slots[(j-1+n)%n]).scratch)
+	}
+}
+
+// reduceScatter sums buf across ranks and returns this rank's chunk of the
+// total, chunk (rank+1) mod n per chunkBounds, as a fresh slice. buf is not
+// modified.
+func reduceScatter(p *peer, buf []float32) []float32 {
+	n := p.w.n
+	if n == 1 {
+		return append(make([]float32, 0, len(buf)), buf...)
+	}
+	own := foldChunk(p, OpReduceScatter, buf)
+	out := append(make([]float32, 0, len(own)), own...)
+	p.w.bar.wait()
+	return out
 }
 
 // allGather concatenates every rank's local slice into out, ordered by rank.
-// len(out) must equal WorldSize() × len(local).
-func (p *Peer) allGather(local, out []float32) {
+// len(out) must equal the world size × len(local).
+func allGather(p *peer, local, out []float32) {
 	n := p.w.n
 	l := len(local)
 	if len(out) != n*l {
 		panic("comm: all-gather output length must be world × local length")
 	}
-	rank := p.rank
-	copy(out[rank*l:(rank+1)*l], local)
+	if n == 1 {
+		copy(out, local)
+		return
+	}
+	publish(p, OpAllGather, local, 0)
+	for j := 0; j < n; j++ {
+		copy(out[j*l:(j+1)*l], laneOf[float32](&p.w.slots[j]).buf)
+	}
+	p.w.bar.wait()
+}
+
+// broadcast copies root's buf to every rank. All ranks must pass buffers of
+// the same length and the same root in [0, n); non-root contents are
+// overwritten.
+func broadcast(p *peer, buf []float32, root int) {
+	n := p.w.n
+	if n > 1 {
+		// Publish first: ranks that disagree on the root fail the check
+		// together, and past it every rank judges the same root.
+		publish(p, OpBroadcast, buf, root)
+	}
+	if root < 0 || root >= n {
+		panic(fmt.Sprintf("comm: broadcast root %d out of range for world size %d", root, n))
+	}
 	if n == 1 {
 		return
 	}
-	prev := (rank - 1 + n) % n
-	send := p.w.f32[rank]
-	recv := p.w.f32[prev]
-	// Ring all-gather: in step s, forward the chunk received in step s−1.
-	cur := rank
-	for s := 0; s < n-1; s++ {
-		outChunk := p.stage32(l)
-		copy(outChunk, out[cur*l:(cur+1)*l])
-		send <- outChunk
-		in := <-recv
-		cur = ((cur-1)%n + n) % n
-		if len(in) != l {
-			panic("comm: all-gather buffer length mismatch across ranks")
-		}
-		copy(out[cur*l:(cur+1)*l], in)
-		p.release32(prev, in)
+	if p.rank != root {
+		copy(buf, laneOf[float32](&p.w.slots[root]).buf)
 	}
+	p.w.bar.wait()
 }
 
-// reduceScatter sums buf across ranks and leaves rank r holding only chunk r
-// of the reduced result (returned as a fresh slice; chunk boundaries follow
-// chunkBounds of index (r+1) mod n). buf is left in an unspecified
-// partially-reduced state.
-func (p *Peer) reduceScatter(buf []float32) []float32 {
-	n := p.w.n
-	if n == 1 {
-		out := make([]float32, len(buf))
-		copy(out, buf)
-		return out
-	}
-	p.ringReduceScatter(buf)
-	// After n−1 steps, rank owns the fully reduced chunk (rank+1 mod n).
-	lo, hi := chunkBounds(len(buf), n, (p.rank+1)%n)
-	out := make([]float32, hi-lo)
-	copy(out, buf[lo:hi])
-	return out
-}
-
-// treeAllReduce sums buf across all ranks using recursive halving/doubling:
-// log2(n) rounds, each exchanging the full payload with a partner at
-// distance 2^round. It moves O(log n) full payloads per rank, beating the
-// ring for small latency-bound payloads. The implementation stages through
-// per-rank channels with a barrier per round to keep the SPMD lockstep
-// property. Non-power-of-two worlds fall back to the ring (reported by
-// Tree.Algorithm as a ring fallback); returns true when the tree actually
-// ran.
-func (p *Peer) treeAllReduce(buf []float32) bool {
+// treeAllReduce sums buf across all ranks by recursive doubling: log2(n)
+// rounds, each adding the full payload of the partner at distance 2^round.
+// It moves O(log n) full payloads per rank, beating the ring for small
+// latency-bound payloads. Rounds alternate between buf and this rank's
+// scratch — a round reads the partner's previous result while writing its
+// own into the other buffer — with one wait per round. Non-power-of-two
+// worlds fall back to the ring (reported by Tree.Algorithm as a ring
+// fallback); returns true when the tree actually ran.
+func treeAllReduce[T float](p *peer, buf []T) bool {
 	n := p.w.n
 	if n == 1 {
 		return true
 	}
 	if n&(n-1) != 0 {
-		p.ringAllReduce(buf)
+		ringAllReduce(p, buf)
 		return false
 	}
-	rank := p.rank
+	publish(p, reduceOp[T](), buf, 0)
+	src, dst := buf, scratch[T](p, len(buf))
+	inScratch := false // whether src is the scratch
 	for dist := 1; dist < n; dist <<= 1 {
-		partner := rank ^ dist
-		out := p.stage32(len(buf))
-		copy(out, buf)
-		// Stage the payload for the partner, then collect the partner's.
-		// Addressing: channel f32[rank] carries rank's payload this round;
-		// rendezvous via barrier so rounds never overlap.
-		p.w.f32[rank] <- out
-		p.Barrier()
-		in := <-p.w.f32[partner]
-		if len(in) != len(buf) {
-			panic("comm: tree all-reduce buffer length mismatch across ranks")
+		theirs := laneOf[T](&p.w.slots[p.rank^dist])
+		in := theirs.buf
+		if inScratch {
+			in = theirs.scratch
 		}
-		for i := range buf {
-			buf[i] += in[i]
+		in = in[:len(dst)]
+		for i := range dst {
+			dst[i] = src[i] + in[i]
 		}
-		p.release32(partner, in)
-		p.Barrier()
+		p.w.bar.wait()
+		src, dst = dst, src
+		inScratch = !inScratch
 	}
-	return true
-}
-
-// treeAllReduceF64 is treeAllReduce over float64 buffers.
-func (p *Peer) treeAllReduceF64(buf []float64) bool {
-	n := p.w.n
-	if n == 1 {
-		return true
-	}
-	if n&(n-1) != 0 {
-		p.ringAllReduceF64(buf)
-		return false
-	}
-	rank := p.rank
-	for dist := 1; dist < n; dist <<= 1 {
-		partner := rank ^ dist
-		out := p.stage64(len(buf))
-		copy(out, buf)
-		p.w.f64[rank] <- out
-		p.Barrier()
-		in := <-p.w.f64[partner]
-		if len(in) != len(buf) {
-			panic("comm: tree all-reduce buffer length mismatch across ranks")
-		}
-		for i := range buf {
-			buf[i] += in[i]
-		}
-		p.release64(partner, in)
-		p.Barrier()
+	if inScratch {
+		copy(buf, src)
 	}
 	return true
 }

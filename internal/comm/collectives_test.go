@@ -83,29 +83,30 @@ func TestAllReduceAllImplementationsAllWorldSizes(t *testing.T) {
 func TestAllReduceF64AllImplementationsOddWorlds(t *testing.T) {
 	for _, prov := range allProviders() {
 		for _, n := range []int{3, 5, 6, 7, 8} {
-			l := 29
-			rng := rand.New(rand.NewSource(int64(n)))
-			inputs := make([][]float64, n)
-			want := make([]float64, l)
-			for r := range inputs {
-				inputs[r] = make([]float64, l)
-				for i := range inputs[r] {
-					inputs[r][i] = rng.NormFloat64()
-					want[i] += inputs[r][i]
+			for _, l := range []int{1, 29} { // 1: a scalar count or loss
+				rng := rand.New(rand.NewSource(int64(n)))
+				inputs := make([][]float64, n)
+				want := make([]float64, l)
+				for r := range inputs {
+					inputs[r] = make([]float64, l)
+					for i := range inputs[r] {
+						inputs[r][i] = rng.NormFloat64()
+						want[i] += inputs[r][i]
+					}
 				}
-			}
-			colls := connectOrFatal(t, prov, n)
-			results := make([][]float64, n)
-			runCollectives(colls, func(rank int, c Collective) {
-				buf := append([]float64(nil), inputs[rank]...)
-				c.AllReduceF64(buf)
-				results[rank] = buf
-			})
-			for r := 0; r < n; r++ {
-				for i := range want {
-					if math.Abs(results[r][i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-						t.Fatalf("%s n=%d rank %d elem %d: got %v, want %v",
-							prov.Name(), n, r, i, results[r][i], want[i])
+				colls := connectOrFatal(t, prov, n)
+				results := make([][]float64, n)
+				runCollectives(colls, func(rank int, c Collective) {
+					buf := append([]float64(nil), inputs[rank]...)
+					c.AllReduceF64(buf)
+					results[rank] = buf
+				})
+				for r := 0; r < n; r++ {
+					for i := range want {
+						if math.Abs(results[r][i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+							t.Fatalf("%s n=%d l=%d rank %d elem %d: got %v, want %v",
+								prov.Name(), n, l, r, i, results[r][i], want[i])
+						}
 					}
 				}
 			}

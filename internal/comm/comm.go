@@ -5,42 +5,58 @@ import (
 	"sync"
 )
 
-// stagePoolCap bounds how many staging buffers a rank keeps for reuse. Ring
-// algorithms have at most one message of this rank in flight plus one being
-// processed by the receiver; tree rounds add one more. Four gives headroom
-// without hoarding memory.
-const stagePoolCap = 4
+// float is the element type a reduction runs over: float32 for gradients,
+// float64 for batch-norm statistics and metrics.
+type float interface{ float32 | float64 }
 
-// World wires n ranks into a ring. Each rank must be driven by its own
-// goroutine; collectives are synchronous across the world.
-type World struct {
-	n   int
-	f32 []chan []float32 // f32[r]: channel rank r sends to rank (r+1)%n
-	f64 []chan []float64
-	// rec32[r] recycles staging buffers back to rank r after the receiver
-	// has consumed them, so steady-state collectives allocate nothing.
-	rec32 []chan []float32
-	rec64 []chan []float64
+// world connects n ranks through shared slots. A collective publishes its
+// call (op, length, buffer) in its rank's slot, waits at the world's barrier,
+// reads its peers' slots directly, and waits again: two barrier waits per
+// call at any world size, where a ring of channels takes 2(n−1) hops.
+//
+// Each rank is driven by its own goroutine, and a world carries one
+// collective at a time per rank: a rank enters its next call only after its
+// previous one returned. Uses that can overlap get worlds of their own — the
+// replica engine connects one for gradients and metrics, one per BN group and
+// one per mesh axis.
+type world struct {
+	n     int
+	slots []slot
 	bar   *cyclicBarrier
 }
 
-// NewWorld creates a communication world of n ranks.
-func NewWorld(n int) *World {
+// slot is one rank's mailbox. The rank writes op, n, root and a lane's buf
+// before a call's first wait; peers read them before its second. A lane's
+// scratch is resized and written only by its rank, after a first wait, and
+// peers read it after a later wait of the same call — a rank cannot rewrite
+// it before every peer has reached its next call's first wait.
+type slot struct {
+	op   Op
+	n    int // payload length in elements
+	root int // broadcast root; 0 for every other op
+	f32  lane[float32]
+	f64  lane[float64]
+}
+
+type lane[T float] struct {
+	buf     []T
+	scratch []T
+}
+
+// laneOf returns the slot's lane for element type T.
+func laneOf[T float](s *slot) *lane[T] {
+	if l, ok := any(&s.f32).(*lane[T]); ok {
+		return l
+	}
+	return any(&s.f64).(*lane[T])
+}
+
+// newWorld creates a communication world of n ranks.
+func newWorld(n int) *world {
 	if n < 1 {
 		panic("comm: world size must be >= 1")
 	}
-	w := &World{n: n, bar: newCyclicBarrier(n)}
-	w.f32 = make([]chan []float32, n)
-	w.f64 = make([]chan []float64, n)
-	w.rec32 = make([]chan []float32, n)
-	w.rec64 = make([]chan []float64, n)
-	for i := 0; i < n; i++ {
-		w.f32[i] = make(chan []float32, 1)
-		w.f64[i] = make(chan []float64, 1)
-		w.rec32[i] = make(chan []float32, stagePoolCap)
-		w.rec64[i] = make(chan []float64, stagePoolCap)
-	}
-	return w
+	return &world{n: n, slots: make([]slot, n), bar: newCyclicBarrier(n)}
 }
 
 // cyclicBarrier is a reusable rendezvous for n goroutines.
@@ -74,88 +90,74 @@ func (b *cyclicBarrier) wait() {
 	b.mu.Unlock()
 }
 
-// Size returns the world size.
-func (w *World) Size() int { return w.n }
-
-// Peer returns rank r's endpoint.
-func (w *World) Peer(r int) *Peer {
+// peer returns rank r's endpoint.
+func (w *world) peer(r int) *peer {
 	if r < 0 || r >= w.n {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", r, w.n))
 	}
-	return &Peer{w: w, rank: r}
+	return &peer{w: w, rank: r}
 }
 
-// Peer is one rank's view of a World: the channel transport the Collective
-// implementations are built on. All collectives must be entered by every
-// rank of the world (from distinct goroutines) or they deadlock — matching
-// the lockstep SPMD semantics of TPU collectives.
-//
-// The collective algorithms themselves are unexported methods; call sites
-// outside this package go through the Collective interface.
-type Peer struct {
-	w    *World
+// peer is one rank's view of a world, the transport the Collective
+// implementations are built on. Every collective must be entered by every
+// rank of the world, from distinct goroutines.
+type peer struct {
+	w    *world
 	rank int
 }
 
-// Rank returns this peer's rank.
-func (p *Peer) Rank() int { return p.rank }
+// publish posts this rank's call in its slot, waits until every rank has
+// posted, and checks that all of them entered the same collective: a
+// mismatch panics on every rank, so none is left waiting.
+func publish[T float](p *peer, op Op, buf []T, root int) {
+	s := &p.w.slots[p.rank]
+	s.op, s.n, s.root = op, len(buf), root
+	laneOf[T](s).buf = buf
+	p.w.bar.wait()
+	p.w.check()
+}
 
-// WorldSize returns the number of ranks.
-func (p *Peer) WorldSize() int { return p.w.n }
+// check compares every rank's posted call with rank 0's.
+func (w *world) check() {
+	a := &w.slots[0]
+	for j := 1; j < w.n; j++ {
+		b := &w.slots[j]
+		if b.op == a.op && b.n == a.n && b.root == a.root {
+			continue
+		}
+		what := "collective"
+		if b.op == a.op && b.root == a.root {
+			what = "buffer length"
+		}
+		panic(fmt.Sprintf("comm: %s mismatch across ranks: rank 0 entered %s, rank %d entered %s", what, a.call(), j, b.call()))
+	}
+}
 
-// Barrier blocks until every rank of the world has entered it.
-func (p *Peer) Barrier() {
+func (s *slot) call() string {
+	if s.op == OpBroadcast {
+		return fmt.Sprintf("%s(%d, root %d)", s.op, s.n, s.root)
+	}
+	return fmt.Sprintf("%s(%d)", s.op, s.n)
+}
+
+// scratch resizes this rank's scratch to n elements and returns it. Call it
+// only after the current call's first wait.
+func scratch[T float](p *peer, n int) []T {
+	l := laneOf[T](&p.w.slots[p.rank])
+	if cap(l.scratch) < n {
+		l.scratch = make([]T, n)
+	}
+	l.scratch = l.scratch[:n]
+	return l.scratch
+}
+
+// barrier blocks until every rank of the world has entered it.
+func (p *peer) barrier() {
 	if p.w.n == 1 {
 		return
 	}
+	publish[float32](p, OpBarrier, nil, 0)
 	p.w.bar.wait()
-}
-
-// --- Staging-buffer reuse ----------------------------------------------------
-//
-// Every ring/tree step used to allocate a fresh slice to stage the outgoing
-// chunk. Instead, each rank owns a small pool of staging buffers: senders pop
-// from their own pool (allocating only on a miss), and receivers return a
-// consumed buffer to the *sender's* pool once its contents have been folded
-// into the local state. A buffer is recycled only after explicit release, so
-// reuse can never race with a receiver still reading it.
-
-// stage32 pops a staging buffer of length n from this rank's pool.
-func (p *Peer) stage32(n int) []float32 {
-	select {
-	case b := <-p.w.rec32[p.rank]:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]float32, n)
-}
-
-// release32 returns a fully-consumed received buffer to its sender's pool.
-func (p *Peer) release32(sender int, b []float32) {
-	select {
-	case p.w.rec32[sender] <- b:
-	default: // pool full: let the GC have it
-	}
-}
-
-func (p *Peer) stage64(n int) []float64 {
-	select {
-	case b := <-p.w.rec64[p.rank]:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]float64, n)
-}
-
-func (p *Peer) release64(sender int, b []float64) {
-	select {
-	case p.w.rec64[sender] <- b:
-	default:
-	}
 }
 
 // chunkBounds splits length l into n contiguous chunks; chunk i is
@@ -169,154 +171,4 @@ func chunkBounds(l, n, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ringAllReduce sums buf element-wise across all ranks; on return every
-// rank's buf holds the identical total. The algorithm is the bandwidth-
-// optimal ring: n−1 reduce-scatter steps followed by n−1 all-gather steps,
-// each moving 1/n of the buffer, for 2(n−1)/n · |buf| total bytes per link.
-func (p *Peer) ringAllReduce(buf []float32) {
-	if p.w.n == 1 {
-		return
-	}
-	p.ringReduceScatter(buf)
-	p.ringAllGather(buf)
-}
-
-// ringReduceScatter runs the n−1 reduce-scatter steps of the ring in place.
-// On return, rank r owns the fully-reduced chunk (r+1) mod n of buf (bounds
-// per chunkBounds); the rest of buf is partially reduced.
-func (p *Peer) ringReduceScatter(buf []float32) {
-	n := p.w.n
-	if n == 1 {
-		return
-	}
-	rank := p.rank
-	prev := (rank - 1 + n) % n
-	send := p.w.f32[rank]
-	recv := p.w.f32[prev]
-
-	// After step s, chunk (rank−s) holds partial sums of s+1 ranks; after
-	// n−1 steps chunk (rank+1 mod n) is complete.
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((rank-s)%n + n) % n
-		lo, hi := chunkBounds(len(buf), n, sendIdx)
-		out := p.stage32(hi - lo)
-		copy(out, buf[lo:hi])
-		send <- out
-		in := <-recv
-		rlo, rhi := chunkBounds(len(buf), n, ((rank-s-1)%n+n)%n)
-		if len(in) != rhi-rlo {
-			panic("comm: ring reduce-scatter buffer length mismatch across ranks")
-		}
-		for i := range in {
-			buf[rlo+i] += in[i]
-		}
-		p.release32(prev, in)
-	}
-}
-
-// ringAllGather circulates completed chunks so every rank ends with the full
-// buffer. It assumes the post-reduce-scatter ownership: rank r holds the
-// final value of chunk (r+1) mod n.
-func (p *Peer) ringAllGather(buf []float32) {
-	n := p.w.n
-	if n == 1 {
-		return
-	}
-	rank := p.rank
-	prev := (rank - 1 + n) % n
-	send := p.w.f32[rank]
-	recv := p.w.f32[prev]
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((rank+1-s)%n + n) % n
-		lo, hi := chunkBounds(len(buf), n, sendIdx)
-		out := p.stage32(hi - lo)
-		copy(out, buf[lo:hi])
-		send <- out
-		in := <-recv
-		rlo, rhi := chunkBounds(len(buf), n, ((rank-s)%n+n)%n)
-		if len(in) != rhi-rlo {
-			panic("comm: ring all-gather buffer length mismatch across ranks")
-		}
-		copy(buf[rlo:rhi], in)
-		p.release32(prev, in)
-	}
-}
-
-// ringAllReduceF64 is ringAllReduce over float64 buffers (used for
-// batch-norm statistics and metrics, which accumulate in double precision).
-func (p *Peer) ringAllReduceF64(buf []float64) {
-	if p.w.n == 1 {
-		return
-	}
-	p.ringReduceScatterF64(buf)
-	p.ringAllGatherF64(buf)
-}
-
-func (p *Peer) ringReduceScatterF64(buf []float64) {
-	n := p.w.n
-	if n == 1 {
-		return
-	}
-	rank := p.rank
-	prev := (rank - 1 + n) % n
-	send := p.w.f64[rank]
-	recv := p.w.f64[prev]
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((rank-s)%n + n) % n
-		lo, hi := chunkBounds(len(buf), n, sendIdx)
-		out := p.stage64(hi - lo)
-		copy(out, buf[lo:hi])
-		send <- out
-		in := <-recv
-		rlo, rhi := chunkBounds(len(buf), n, ((rank-s-1)%n+n)%n)
-		if len(in) != rhi-rlo {
-			panic("comm: ring reduce-scatter buffer length mismatch across ranks")
-		}
-		for i := range in {
-			buf[rlo+i] += in[i]
-		}
-		p.release64(prev, in)
-	}
-}
-
-func (p *Peer) ringAllGatherF64(buf []float64) {
-	n := p.w.n
-	if n == 1 {
-		return
-	}
-	rank := p.rank
-	prev := (rank - 1 + n) % n
-	send := p.w.f64[rank]
-	recv := p.w.f64[prev]
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((rank+1-s)%n + n) % n
-		lo, hi := chunkBounds(len(buf), n, sendIdx)
-		out := p.stage64(hi - lo)
-		copy(out, buf[lo:hi])
-		send <- out
-		in := <-recv
-		rlo, rhi := chunkBounds(len(buf), n, ((rank-s)%n+n)%n)
-		if len(in) != rhi-rlo {
-			panic("comm: ring all-gather buffer length mismatch across ranks")
-		}
-		copy(buf[rlo:rhi], in)
-		p.release64(prev, in)
-	}
-}
-
-// AllReduceScalar sums a scalar across the collective's ranks (convenience
-// for counts and losses).
-func AllReduceScalar(c Collective, v float64) float64 {
-	buf := []float64{v}
-	c.AllReduceF64(buf)
-	return buf[0]
 }

@@ -11,14 +11,14 @@ import (
 )
 
 // runWorld drives body(rank, peer) on n goroutines and waits.
-func runWorld(n int, body func(rank int, p *Peer)) {
-	w := NewWorld(n)
+func runWorld(n int, body func(rank int, p *peer)) {
+	w := newWorld(n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			body(r, w.Peer(r))
+			body(r, w.peer(r))
 		}(r)
 	}
 	wg.Wait()
@@ -51,9 +51,9 @@ func TestRingAllReduceMatchesSequentialSum(t *testing.T) {
 				}
 			}
 			results := make([][]float32, n)
-			runWorld(n, func(rank int, p *Peer) {
+			runWorld(n, func(rank int, p *peer) {
 				buf := append([]float32(nil), inputs[rank]...)
-				p.ringAllReduce(buf)
+				ringAllReduce(p, buf)
 				results[rank] = buf
 			})
 			for r := 0; r < n; r++ {
@@ -93,9 +93,9 @@ func TestRingAllReduceF64PropertyQuick(t *testing.T) {
 		}
 		ok := true
 		var mu sync.Mutex
-		runWorld(n, func(rank int, p *Peer) {
+		runWorld(n, func(rank int, p *peer) {
 			buf := append([]float64(nil), inputs[rank]...)
-			p.ringAllReduceF64(buf)
+			ringAllReduce(p, buf)
 			for i := range want {
 				if math.Abs(buf[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 					mu.Lock()
@@ -111,55 +111,41 @@ func TestRingAllReduceF64PropertyQuick(t *testing.T) {
 	}
 }
 
-func TestAllReduceScalar(t *testing.T) {
-	n := 5
-	colls, err := RingProvider().Connect(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runCollectives(colls, func(rank int, c Collective) {
-		got := AllReduceScalar(c, float64(rank+1))
-		if got != 15 { // 1+2+3+4+5
-			t.Errorf("rank %d: scalar all-reduce = %v, want 15", rank, got)
-		}
-	})
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	n := 8
 	var phase [8]int32
-	runWorld(n, func(rank int, p *Peer) {
+	runWorld(n, func(rank int, p *peer) {
 		phase[rank] = 1
-		p.Barrier()
+		p.barrier()
 		// After the barrier, every rank must have set phase 1.
 		for r := 0; r < n; r++ {
 			if phase[r] != 1 {
 				t.Errorf("rank %d passed barrier before rank %d arrived", rank, r)
 			}
 		}
-		p.Barrier()
+		p.barrier()
 	})
 }
 
 func TestSingleRankCollectivesNoop(t *testing.T) {
-	runWorld(1, func(rank int, p *Peer) {
+	runWorld(1, func(rank int, p *peer) {
 		buf := []float32{1, 2, 3}
-		p.ringAllReduce(buf)
+		ringAllReduce(p, buf)
 		if buf[0] != 1 || buf[2] != 3 {
 			t.Error("single-rank all-reduce must be identity")
 		}
-		p.Barrier()
+		p.barrier()
 	})
 }
 
 func TestPeerRankValidation(t *testing.T) {
-	w := NewWorld(2)
+	w := newWorld(2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-range Peer() must panic")
+			t.Fatal("out-of-range peer() must panic")
 		}
 	}()
-	w.Peer(2)
+	w.peer(2)
 }
 
 func TestChunkBoundsCoverExactly(t *testing.T) {
@@ -181,36 +167,48 @@ func TestChunkBoundsCoverExactly(t *testing.T) {
 	}
 }
 
-func TestStagingBuffersAreReused(t *testing.T) {
-	// After a first collective has populated the recycle pools, further
-	// collectives on the same world must not allocate staging buffers.
-	n, l := 4, 1024
-	colls, err := RingProvider().Connect(n)
-	if err != nil {
-		t.Fatal(err)
+func TestWarmCollectivesAllocateNothing(t *testing.T) {
+	// Once each rank's scratch has grown to the payload, a collective
+	// allocates nothing on any rank. Ranks 1..n−1 run on their own
+	// goroutines; rank 0 runs under AllocsPerRun, which counts every
+	// goroutine's allocations.
+	if raceEnabled {
+		t.Skip("the race detector allocates inside sync primitives")
 	}
-	warm := func() {
-		runCollectives(colls, func(rank int, c Collective) {
-			buf := make([]float32, l)
-			c.AllReduce(buf)
-		})
-	}
-	warm()
-	w := colls[0].(*Ring).p.w
-	pooled := 0
-	for r := 0; r < n; r++ {
-		pooled += len(w.rec32[r])
-	}
-	if pooled == 0 {
-		t.Fatal("no staging buffers were recycled after an all-reduce")
-	}
-	warm()
-	pooledAfter := 0
-	for r := 0; r < n; r++ {
-		pooledAfter += len(w.rec32[r])
-	}
-	if pooledAfter < pooled {
-		t.Fatalf("staging pool shrank across collectives: %d -> %d", pooled, pooledAfter)
+	const n, l, runs = 4, 1037, 50
+	for _, prov := range allProviders() {
+		colls := connectOrFatal(t, prov, n)
+		f32, f64, out := make([][]float32, n), make([][]float64, n), make([][]float32, n)
+		for r := range colls {
+			f32[r], f64[r], out[r] = make([]float32, l), make([]float64, l), make([]float32, n*l)
+		}
+		for _, tc := range []struct {
+			name string
+			call func(rank int)
+		}{
+			{"AllReduce", func(r int) { colls[r].AllReduce(f32[r]) }},
+			{"AllReduceF64", func(r int) { colls[r].AllReduceF64(f64[r]) }},
+			{"AllGather", func(r int) { colls[r].AllGather(f32[r], out[r]) }},
+			{"Broadcast", func(r int) { colls[r].Broadcast(f32[r], n-1) }},
+		} {
+			// One warm-up call, AllocsPerRun's own warm-up, then the runs.
+			var wg sync.WaitGroup
+			for r := 1; r < n; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; i < runs+2; i++ {
+						tc.call(r)
+					}
+				}(r)
+			}
+			tc.call(0)
+			allocs := testing.AllocsPerRun(runs, func() { tc.call(0) })
+			wg.Wait()
+			if allocs != 0 {
+				t.Errorf("%s %s: %v allocations per warm call, want 0", prov.Name(), tc.name, allocs)
+			}
+		}
 	}
 }
 

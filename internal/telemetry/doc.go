@@ -25,11 +25,12 @@
 // comm.Auto's algorithm choice: ValidateCommModel times the executable
 // ring/tree/torus2d collectives, fits the model's two constants to the
 // measured ring points, and reports measured-vs-modeled error per
-// algorithm, world size and payload (`podbench -validate`). On the
-// goroutine-channel transport the errors grow with world size — the "links"
-// share host memory bandwidth where the model assumes dedicated links —
-// which is exactly the kind of structural divergence the validation exists
-// to surface.
+// algorithm, world size and payload (`podbench -validate`). The executable
+// collectives meet at a barrier twice per call rather than hopping 2(n−1)
+// times, and at large payloads the errors grow with world size — every rank
+// reads its peers' buffers through one host's memory bandwidth where the
+// model assumes dedicated links — which is exactly the kind of structural
+// divergence the validation exists to surface.
 //
 // Seams: Sink (Step/Eval/Epoch/Snapshot/Close; SinkFuncs adapts functions),
 // comm.Observer (Recorder implements it), train.WithTelemetry /

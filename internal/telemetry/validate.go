@@ -111,7 +111,7 @@ type Validation struct {
 }
 
 // ValidateCommModel measures the executable collectives (goroutine ranks
-// over channels — the same code mini-scale training runs) and replays each
+// over shared slots — the same code mini-scale training runs) and replays each
 // measurement against the α-β cost model that motivates comm.Auto's
 // algorithm choice: it fits the model's two constants to the measured ring
 // points, prices every (algorithm, world, payload) cell with
