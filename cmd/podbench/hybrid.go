@@ -86,9 +86,9 @@ func measureHybridCell(shape mesh.Shape) (hybridCell, error) {
 	for k, n := range counts {
 		for i := 0; i < n/(shape.World()*reps); i++ {
 			cell.calls = append(cell.calls, podsim.MiniCollective{
-				AllGather: k.op == comm.OpAllGather,
-				Bytes:     k.bytes,
-				World:     k.world,
+				Op:    k.op,
+				Bytes: k.bytes,
+				World: k.world,
 			})
 		}
 	}

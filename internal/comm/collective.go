@@ -37,6 +37,11 @@ type Collective interface {
 	// AllGather concatenates every rank's local slice into out, ordered by
 	// rank. len(out) must equal WorldSize() × len(local).
 	AllGather(local, out []float32)
+	// AllGatherInPlace copies every rank j's span buf[bounds[j]:bounds[j+1]]
+	// into the same span of every rank's buf. Every rank passes a buffer of
+	// the same length and the same bounds: WorldSize()+1 ascending offsets
+	// within buf. Anything else panics on every rank.
+	AllGatherInPlace(buf []float32, bounds []int)
 	// ReduceScatter sums buf across ranks and returns the chunk this rank
 	// owns of the reduced result (chunk (rank+1) mod n per chunkBounds).
 	// buf is left in an unspecified partially-reduced state.
@@ -76,6 +81,9 @@ func (r *Ring) AllReduceF64(buf []float64) { ringAllReduce(r.p, buf) }
 // AllGather implements Collective.
 func (r *Ring) AllGather(local, out []float32) { allGather(r.p, local, out) }
 
+// AllGatherInPlace implements Collective.
+func (r *Ring) AllGatherInPlace(buf []float32, bounds []int) { allGatherInPlace(r.p, buf, bounds) }
+
 // ReduceScatter implements Collective.
 func (r *Ring) ReduceScatter(buf []float32) []float32 { return reduceScatter(r.p, buf) }
 
@@ -94,8 +102,8 @@ func (r *Ring) Algorithm() string { return "ring" }
 // each moving the full payload, beating the ring when the payload is small
 // and latency dominates (BN statistics, metrics). Non-power-of-two worlds
 // fall back to the ring for all-reduce — the fallback is visible in
-// Algorithm(), not silent. The embedded Ring supplies
-// AllGather/ReduceScatter/Broadcast/Barrier on the same transport.
+// Algorithm(), not silent. The embedded Ring supplies every other
+// collective on the same transport.
 type Tree struct {
 	Ring
 }
@@ -127,11 +135,10 @@ func (t *Tree) Algorithm() string {
 // payloads cross each link only ~2(1/cols + 1/(cols·rows)) times per element
 // instead of circling one long ring — the reason pods run it.
 //
-// AllGather/ReduceScatter/Broadcast/Barrier use a flat ring over all ranks;
-// the hierarchical decomposition is an all-reduce algorithm. Rows and
-// columns are worlds of their own, so an all-reduce checks for mismatched
-// calls per row and per column: ranks whose row matched can be left waiting
-// in the column phase.
+// Every other collective uses a flat ring over all ranks; the hierarchical
+// decomposition is an all-reduce algorithm. Rows and columns are worlds of
+// their own, so an all-reduce checks for mismatched calls per row and per
+// column: ranks whose row matched can be left waiting in the column phase.
 type Torus2D struct {
 	rank, n int
 	grid    topology.Slice
@@ -177,6 +184,11 @@ func torusAllReduce[T float](t *Torus2D, buf []T) {
 
 // AllGather implements Collective.
 func (t *Torus2D) AllGather(local, out []float32) { allGather(t.flat, local, out) }
+
+// AllGatherInPlace implements Collective.
+func (t *Torus2D) AllGatherInPlace(buf []float32, bounds []int) {
+	allGatherInPlace(t.flat, buf, bounds)
+}
 
 // ReduceScatter implements Collective.
 func (t *Torus2D) ReduceScatter(buf []float32) []float32 { return reduceScatter(t.flat, buf) }
@@ -240,6 +252,9 @@ func (a *Auto) AllReduceF64(buf []float64) { a.pick(8 * len(buf)).AllReduceF64(b
 
 // AllGather implements Collective.
 func (a *Auto) AllGather(local, out []float32) { a.ring.AllGather(local, out) }
+
+// AllGatherInPlace implements Collective.
+func (a *Auto) AllGatherInPlace(buf []float32, bounds []int) { a.ring.AllGatherInPlace(buf, bounds) }
 
 // ReduceScatter implements Collective.
 func (a *Auto) ReduceScatter(buf []float32) []float32 { return a.ring.ReduceScatter(buf) }

@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The collective algorithms over a world's shared slots. Each publishes its
 // buffer (publish: post, first wait, mismatch check), reads its peers' slots,
@@ -37,7 +40,7 @@ func ringAllReduce[T float](p *peer, buf []T) {
 // scratch chunk. Peers are still reading buf, so the caller waits on the
 // world once more (gatherChunks does) before returning.
 func foldChunk[T float](p *peer, op Op, buf []T) []T {
-	publish(p, op, buf, 0)
+	publish(p, op, buf, 0, nil)
 	n := p.w.n
 	c := (p.rank + 1) % n
 	lo, hi := chunkBounds(len(buf), n, c)
@@ -102,9 +105,37 @@ func allGather(p *peer, local, out []float32) {
 		copy(out, local)
 		return
 	}
-	publish(p, OpAllGather, local, 0)
+	publish(p, OpAllGather, local, 0, nil)
 	for j := 0; j < n; j++ {
 		copy(out[j*l:(j+1)*l], laneOf[float32](&p.w.slots[j]).buf)
+	}
+	p.w.bar.wait()
+}
+
+// allGatherInPlace copies every rank j's span buf[bounds[j]:bounds[j+1]]
+// into the same span of every other rank's buf. All ranks must pass buffers
+// of the same length and the same bounds: world size + 1 ascending offsets
+// inside buf. Spans are disjoint, so a rank writes only outside its own span
+// while its peers read only inside it, and no staging buffer is needed.
+func allGatherInPlace(p *peer, buf []float32, bounds []int) {
+	n := p.w.n
+	if n > 1 {
+		// Publish first, as broadcast does: ranks that disagree on the bounds
+		// fail the check together, and past it every rank judges the same
+		// bounds.
+		publish(p, OpAllGatherInPlace, buf, 0, bounds)
+	}
+	if len(bounds) != n+1 || bounds[0] < 0 || bounds[n] > len(buf) || !slices.IsSorted(bounds) {
+		panic(fmt.Sprintf("comm: all-gather bounds %v are not %d ascending offsets within a buffer of %d", bounds, n+1, len(buf)))
+	}
+	if n == 1 {
+		return
+	}
+	for j := 0; j < n; j++ {
+		if j != p.rank {
+			lo, hi := bounds[j], bounds[j+1]
+			copy(buf[lo:hi], laneOf[float32](&p.w.slots[j]).buf[lo:hi])
+		}
 	}
 	p.w.bar.wait()
 }
@@ -117,7 +148,7 @@ func broadcast(p *peer, buf []float32, root int) {
 	if n > 1 {
 		// Publish first: ranks that disagree on the root fail the check
 		// together, and past it every rank judges the same root.
-		publish(p, OpBroadcast, buf, root)
+		publish(p, OpBroadcast, buf, root, nil)
 	}
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("comm: broadcast root %d out of range for world size %d", root, n))
@@ -148,7 +179,7 @@ func treeAllReduce[T float](p *peer, buf []T) bool {
 		ringAllReduce(p, buf)
 		return false
 	}
-	publish(p, reduceOp[T](), buf, 0)
+	publish(p, reduceOp[T](), buf, 0, nil)
 	src, dst := buf, scratch[T](p, len(buf))
 	inScratch := false // whether src is the scratch
 	for dist := 1; dist < n; dist <<= 1 {

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -25,17 +26,19 @@ type world struct {
 	bar   *cyclicBarrier
 }
 
-// slot is one rank's mailbox. The rank writes op, n, root and a lane's buf
-// before a call's first wait; peers read them before its second. A lane's
-// scratch is resized and written only by its rank, after a first wait, and
-// peers read it after a later wait of the same call — a rank cannot rewrite
-// it before every peer has reached its next call's first wait.
+// slot is one rank's mailbox. The rank writes op, n, root, bounds and a
+// lane's buf before a call's first wait; peers read them before its second.
+// A lane's scratch is resized and written only by its rank, after a first
+// wait, and peers read it after a later wait of the same call — a rank
+// cannot rewrite it before every peer has reached its next call's first
+// wait.
 type slot struct {
-	op   Op
-	n    int // payload length in elements
-	root int // broadcast root; 0 for every other op
-	f32  lane[float32]
-	f64  lane[float64]
+	op     Op
+	n      int   // payload length in elements
+	root   int   // broadcast root; 0 for every other op
+	bounds []int // in-place all-gather spans; nil for every other op
+	f32    lane[float32]
+	f64    lane[float64]
 }
 
 type lane[T float] struct {
@@ -109,9 +112,9 @@ type peer struct {
 // publish posts this rank's call in its slot, waits until every rank has
 // posted, and checks that all of them entered the same collective: a
 // mismatch panics on every rank, so none is left waiting.
-func publish[T float](p *peer, op Op, buf []T, root int) {
+func publish[T float](p *peer, op Op, buf []T, root int, bounds []int) {
 	s := &p.w.slots[p.rank]
-	s.op, s.n, s.root = op, len(buf), root
+	s.op, s.n, s.root, s.bounds = op, len(buf), root, bounds
 	laneOf[T](s).buf = buf
 	p.w.bar.wait()
 	p.w.check()
@@ -122,20 +125,27 @@ func (w *world) check() {
 	a := &w.slots[0]
 	for j := 1; j < w.n; j++ {
 		b := &w.slots[j]
-		if b.op == a.op && b.n == a.n && b.root == a.root {
+		if b.op == a.op && b.n == a.n && b.root == a.root && slices.Equal(b.bounds, a.bounds) {
 			continue
 		}
 		what := "collective"
-		if b.op == a.op && b.root == a.root {
+		switch {
+		case b.op != a.op || b.root != a.root:
+		case b.n != a.n:
 			what = "buffer length"
+		default:
+			what = "span bounds"
 		}
 		panic(fmt.Sprintf("comm: %s mismatch across ranks: rank 0 entered %s, rank %d entered %s", what, a.call(), j, b.call()))
 	}
 }
 
 func (s *slot) call() string {
-	if s.op == OpBroadcast {
+	switch s.op {
+	case OpBroadcast:
 		return fmt.Sprintf("%s(%d, root %d)", s.op, s.n, s.root)
+	case OpAllGatherInPlace:
+		return fmt.Sprintf("%s(%d, bounds %v)", s.op, s.n, s.bounds)
 	}
 	return fmt.Sprintf("%s(%d)", s.op, s.n)
 }
@@ -156,7 +166,7 @@ func (p *peer) barrier() {
 	if p.w.n == 1 {
 		return
 	}
-	publish[float32](p, OpBarrier, nil, 0)
+	publish[float32](p, OpBarrier, nil, 0, nil)
 	p.w.bar.wait()
 }
 

@@ -179,6 +179,7 @@ func TestWarmCollectivesAllocateNothing(t *testing.T) {
 	for _, prov := range allProviders() {
 		colls := connectOrFatal(t, prov, n)
 		f32, f64, out := make([][]float32, n), make([][]float64, n), make([][]float32, n)
+		bounds := []int{0, 100, 500, 501, l}
 		for r := range colls {
 			f32[r], f64[r], out[r] = make([]float32, l), make([]float64, l), make([]float32, n*l)
 		}
@@ -189,6 +190,7 @@ func TestWarmCollectivesAllocateNothing(t *testing.T) {
 			{"AllReduce", func(r int) { colls[r].AllReduce(f32[r]) }},
 			{"AllReduceF64", func(r int) { colls[r].AllReduceF64(f64[r]) }},
 			{"AllGather", func(r int) { colls[r].AllGather(f32[r], out[r]) }},
+			{"AllGatherInPlace", func(r int) { colls[r].AllGatherInPlace(f32[r], bounds) }},
 			{"Broadcast", func(r int) { colls[r].Broadcast(f32[r], n-1) }},
 		} {
 			// One warm-up call, AllocsPerRun's own warm-up, then the runs.

@@ -12,12 +12,12 @@
 //     and by the Auto collective to pick an algorithm per call.
 //
 // Seams: the Collective interface (AllReduce, AllReduceF64, AllGather,
-// ReduceScatter, Broadcast, Barrier, Algorithm) is what every consumer
-// programs against; Provider values (RingProvider, TreeProvider,
-// Torus2DProvider, AutoProvider, ProviderByName) both wire the executable
-// endpoints (Connect) and price the identical algorithm under the cost
-// model (ModelAllReduce), so the algorithm the simulator charges and the
-// algorithm training runs cannot drift apart. Observer + Instrument /
+// AllGatherInPlace, ReduceScatter, Broadcast, Barrier, Algorithm) is what
+// every consumer programs against; Provider values (RingProvider,
+// TreeProvider, Torus2DProvider, AutoProvider, ProviderByName) both wire the
+// executable endpoints (Connect) and price the identical algorithm under the
+// cost model (ModelAllReduce), so the algorithm the simulator charges and
+// the algorithm training runs cannot drift apart. Observer + Instrument /
 // InstrumentProvider add per-call accounting (operation, algorithm, payload
 // bytes, rank wall time) without touching the algorithms — the telemetry
 // subsystem's view into every collective, and the capture side of

@@ -11,12 +11,13 @@ type Op string
 
 // The collective operations an instrumented endpoint reports.
 const (
-	OpAllReduce     Op = "allreduce"
-	OpAllReduceF64  Op = "allreduce_f64"
-	OpAllGather     Op = "allgather"
-	OpReduceScatter Op = "reduce_scatter"
-	OpBroadcast     Op = "broadcast"
-	OpBarrier       Op = "barrier"
+	OpAllReduce        Op = "allreduce"
+	OpAllReduceF64     Op = "allreduce_f64"
+	OpAllGather        Op = "allgather"
+	OpAllGatherInPlace Op = "allgather_inplace"
+	OpReduceScatter    Op = "reduce_scatter"
+	OpBroadcast        Op = "broadcast"
+	OpBarrier          Op = "barrier"
 )
 
 // Event is one observed collective call on one rank: which operation ran,
@@ -31,8 +32,8 @@ type Event struct {
 	Rank      int
 	World     int
 	// Bytes is the local payload size: len(buf) × element size for
-	// reductions and broadcast, the gathered output size for all-gather,
-	// 0 for barriers.
+	// reductions and broadcast, the gathered output size for the
+	// all-gathers (every rank's span, for the in-place one), 0 for barriers.
 	Bytes   int
 	Elapsed time.Duration
 }
@@ -144,6 +145,13 @@ func (in *instrumented) AllGather(local, out []float32) {
 	start := time.Now()
 	in.c.AllGather(local, out)
 	in.emit(OpAllGather, in.c.Algorithm(), 4*len(out), start)
+}
+
+// AllGatherInPlace implements Collective.
+func (in *instrumented) AllGatherInPlace(buf []float32, bounds []int) {
+	start := time.Now()
+	in.c.AllGatherInPlace(buf, bounds)
+	in.emit(OpAllGatherInPlace, in.c.Algorithm(), 4*(bounds[len(bounds)-1]-bounds[0]), start)
 }
 
 // ReduceScatter implements Collective.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -158,10 +159,21 @@ type refCheck struct {
 	got  [][]float64
 }
 
+// randomBounds draws n+1 ascending offsets in [0, l]: spans that may be
+// empty and need not cover the whole buffer.
+func randomBounds(rng *rand.Rand, n, l int) []int {
+	bounds := make([]int, n+1)
+	for j := range bounds {
+		bounds[j] = rng.Intn(l + 1)
+	}
+	slices.Sort(bounds)
+	return bounds
+}
+
 // checkAgainstReference connects one n-rank world from prov and, for each
 // payload length, runs all-reduce (float32 and float64), reduce-scatter,
-// all-gather and a broadcast from each root on it, in sequence on the same
-// world, comparing every rank's result bitwise with the references.
+// both all-gathers and a broadcast from each root on it, in sequence on the
+// same world, comparing every rank's result bitwise with the references.
 func checkAgainstReference(t *testing.T, prov Provider, n int, lengths, roots []int, rng *rand.Rand, special bool) {
 	t.Helper()
 	colls := connectOrFatal(t, prov, n)
@@ -215,6 +227,18 @@ func checkAgainstReference(t *testing.T, prov Provider, n int, lengths, roots []
 				all = append(all, x...)
 			}
 			return widen(all)
+		})
+		bounds := randomBounds(rng, n, l)
+		add(fmt.Sprintf("AllGatherInPlace(%d, bounds %v)", l, bounds), func(r int, c Collective) []float64 {
+			buf := append([]float32(nil), in32[r]...)
+			c.AllGatherInPlace(buf, bounds)
+			return widen(buf)
+		}, func(r int) []float64 {
+			want := append([]float32(nil), in32[r]...)
+			for j := 0; j < n; j++ {
+				copy(want[bounds[j]:bounds[j+1]], in32[j][bounds[j]:bounds[j+1]])
+			}
+			return widen(want)
 		})
 		for _, root := range roots {
 			add(fmt.Sprintf("Broadcast(%d, root %d)", l, root), func(r int, c Collective) []float64 {
@@ -318,6 +342,8 @@ func TestMismatchedCollectivesPanicOnEveryRank(t *testing.T) {
 				"comm: collective mismatch across ranks: rank 0 entered allreduce(64), rank 3 entered barrier(0)"},
 			{"broadcast", func(c Collective) { c.Broadcast(make([]float32, 64), 0) },
 				"comm: collective mismatch across ranks: rank 0 entered allreduce(64), rank 3 entered broadcast(64, root 0)"},
+			{"allgather_inplace", func(c Collective) { c.AllGatherInPlace(make([]float32, 64), []int{0, 16, 32, 48, 64}) },
+				"comm: collective mismatch across ranks: rank 0 entered allreduce(64), rank 3 entered allgather_inplace(64, bounds [0 16 32 48 64])"},
 		} {
 			colls := connectOrFatal(t, prov, 4)
 			msgs := panicsOnEveryRank(t, colls, func(rank int, c Collective) {
@@ -330,6 +356,50 @@ func TestMismatchedCollectivesPanicOnEveryRank(t *testing.T) {
 			for r, msg := range msgs {
 				if msg != tc.want {
 					t.Errorf("%s %s: rank %d panicked with %q, want %q", prov.Name(), tc.name, r, msg, tc.want)
+				}
+			}
+		}
+	}
+}
+
+func TestAllGatherInPlaceBoundsMismatchPanics(t *testing.T) {
+	// Rank 3 cuts the buffer differently from the others: every rank must
+	// panic naming both bounds, not copy a span its owner never published.
+	for _, prov := range allProviders() {
+		colls := connectOrFatal(t, prov, 4)
+		msgs := panicsOnEveryRank(t, colls, func(rank int, c Collective) {
+			bounds := []int{0, 16, 32, 48, 64}
+			if rank == 3 {
+				bounds = []int{0, 16, 32, 40, 64}
+			}
+			c.AllGatherInPlace(make([]float32, 64), bounds)
+		})
+		want := "comm: span bounds mismatch across ranks: rank 0 entered allgather_inplace(64, bounds [0 16 32 48 64]), rank 3 entered allgather_inplace(64, bounds [0 16 32 40 64])"
+		for r, msg := range msgs {
+			if msg != want {
+				t.Errorf("%s: rank %d panicked with %q, want %q", prov.Name(), r, msg, want)
+			}
+		}
+	}
+}
+
+func TestAllGatherInPlaceBadBoundsPanic(t *testing.T) {
+	bad := map[int][][]int{
+		1: {nil, {0}, {0, 1, 2}, {-1, 2}, {3, 2}, {0, 6}},
+		3: {nil, {0, 1, 2}, {0, 1, 2, 3, 4}, {-1, 0, 1, 2}, {0, 2, 1, 5}, {0, 1, 2, 6}},
+	}
+	for _, prov := range allProviders() {
+		for n, cases := range bad {
+			for _, bounds := range cases {
+				colls := connectOrFatal(t, prov, n)
+				msgs := panicsOnEveryRank(t, colls, func(rank int, c Collective) {
+					c.AllGatherInPlace(make([]float32, 5), bounds)
+				})
+				want := fmt.Sprintf("comm: all-gather bounds %v are not %d ascending offsets within a buffer of 5", bounds, n+1)
+				for r, msg := range msgs {
+					if msg != want {
+						t.Errorf("%s n=%d bounds %v: rank %d panicked with %q, want %q", prov.Name(), n, bounds, r, msg, want)
+					}
 				}
 			}
 		}

@@ -263,3 +263,18 @@ func (m *Model) BindGrads(buf []float32) int {
 	}
 	return off
 }
+
+// BindWeights is BindGrads' twin for the weights: it moves every parameter's
+// weights into consecutive spans of buf in Params() order and returns the
+// floats consumed (== NumParams()). A parameter's weight span and gradient
+// span are then the same [lo, hi), so a run of parameters is one contiguous
+// span of each buffer.
+func (m *Model) BindWeights(buf []float32) int {
+	off := 0
+	for _, p := range m.params {
+		n := p.Data().Len()
+		p.BindData(buf[off : off+n])
+		off += n
+	}
+	return off
+}

@@ -36,6 +36,16 @@ func (p *Param) BindGrad(buf []float32) {
 	p.Value.BindGrad(tensor.FromSlice(buf, p.Data().Shape()...))
 }
 
+// BindData moves the parameter's weights into buf, viewed in the
+// parameter's shape: the current values are copied in and the weight tensor
+// aliases buf from then on. buf typically aliases a span of the engine's
+// flat weight buffer, which one collective can then refresh across ranks.
+// Call it before any forward pass records the old tensor.
+func (p *Param) BindData(buf []float32) {
+	copy(buf, p.Data().Data())
+	p.Value.T = tensor.FromSlice(buf, p.Data().Shape()...)
+}
+
 // RegisterParams registers every parameter's leaf with the tape so Backward
 // fires its grad-ready hook (see autograd.Tape).
 func RegisterParams(t *autograd.Tape, params []*Param) {

@@ -5,7 +5,12 @@
 //
 // All optimizers mutate nn.Param weights in place given the gradients
 // accumulated by autograd, and are stateful across steps (momentum buffers
-// and second-moment accumulators keyed per parameter).
+// and second-moment accumulators keyed per parameter). Every update is
+// per parameter, so a caller may step any subset: the replica engine gives
+// each rank only the parameters it owns, and a warm Step allocates nothing.
+// A snapshot captured over a subset holds that subset's slots, so captures
+// over disjoint subsets merge into the capture over their union. Step
+// counters (Adam, LAMB) advance once per Step call, whatever the subset.
 //
 // Seams: Optimizer is the interface the replica engine drives (Step +
 // checkpoint.StateCodec, so every optimizer's slots snapshot and restore

@@ -265,6 +265,9 @@ type LAMB struct {
 	WeightDecay  float64
 	step         int
 	slots        state
+	// update is per-parameter scratch for the unscaled update, grown to the
+	// largest parameter and reused.
+	update []float64
 }
 
 // NewLAMB returns LAMB with standard constants.
@@ -293,7 +296,10 @@ func (o *LAMB) Step(params []*nn.Param, lr float64) {
 		if p.NoAdapt {
 			wd = 0
 		}
-		update := make([]float64, w.Len())
+		if cap(o.update) < w.Len() {
+			o.update = make([]float64, w.Len())
+		}
+		update := o.update[:w.Len()]
 		var updNorm float64
 		for i := range w.Data() {
 			grad := float64(g.Data()[i])
@@ -333,6 +339,8 @@ type SM3 struct {
 	// accums[p][d] has length = p.Data().Dim(d).
 	accums map[*nn.Param][][]float32
 	moms   state
+	// idx is the odometer's multi-index scratch, reused across parameters.
+	idx []int
 }
 
 // NewSM3 returns SM3 with momentum 0.9.
@@ -378,7 +386,11 @@ func (o *SM3) Step(params []*nn.Param, lr float64) {
 			wd = 0
 		}
 		// Walk elements with an odometer over the multi-index.
-		idx := make([]int, len(shape))
+		if cap(o.idx) < len(shape) {
+			o.idx = make([]int, len(shape))
+		}
+		idx := o.idx[:len(shape)]
+		clear(idx)
 		lrf := float32(lr)
 		for i := range w.Data() {
 			grad := g.Data()[i] + wd*w.Data()[i]

@@ -8,6 +8,7 @@ import (
 
 	"effnetscale/internal/autograd"
 	"effnetscale/internal/nn"
+	"effnetscale/internal/parallel"
 	"effnetscale/internal/tensor"
 )
 
@@ -232,5 +233,122 @@ func TestOptimizerStateIsPerParam(t *testing.T) {
 	}
 	if w1.Data()[0] != -1 {
 		t.Fatalf("p1 step = %v, want -1", w1.Data()[0])
+	}
+}
+
+// stepParams builds weights and gradients whose magnitudes span 2^±10: two
+// adapted tensors and one NoAdapt vector.
+func stepParams(seed int64) []*nn.Param {
+	rng := rand.New(rand.NewSource(seed))
+	var ps []*nn.Param
+	for i, shape := range [][]int{{64, 40}, {300}, {7}} {
+		w, g := tensor.New(shape...), tensor.New(shape...)
+		for j := range w.Data() {
+			w.Data()[j] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(21)-10))
+			g.Data()[j] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(21)-10))
+		}
+		p := &nn.Param{Name: string(rune('a' + i)), Value: autograd.Leaf(w, true), NoAdapt: i == 2}
+		p.Value.Grad = g
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// tieLR returns a learning rate lr for which lr·norm, evaluated in float64,
+// lies exactly halfway between two adjacent float32 values.
+func tieLR(norm float64) (float64, bool) {
+	lo := float32(norm)
+	mid := (float64(lo) + float64(math.Nextafter32(lo, float32(math.Inf(1))))) / 2
+	lr := mid / norm
+	for k := 0; k < 8; k++ {
+		switch p := lr * norm; {
+		case p == mid:
+			return lr, true
+		case p < mid:
+			lr = math.Nextafter(lr, math.Inf(1))
+		default:
+			lr = math.Nextafter(lr, math.Inf(-1))
+		}
+	}
+	return 0, false
+}
+
+func TestTrustRatioStepIgnoresWorkerBound(t *testing.T) {
+	// LARS and LAMB scale a parameter's step by the norm of its weights.
+	// With a one-hot unit gradient, LARS at η = 1 without decay steps by
+	// float32(lr·‖w‖) and LAMB at β1 = β2 = 0, ε = 1 by float32(lr·2‖w‖)/2.
+	// lr puts that product (with the index-order norm) exactly on a float32
+	// rounding tie, so a norm summed in any other order — chunked by the
+	// worker bound, say — moves the step by one ulp about half the time.
+	// Every weight must come out identical at worker bounds 1, 2 and 4.
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	rng := rand.New(rand.NewSource(1))
+	type tie struct {
+		w    []float32
+		norm float64
+	}
+	var ties []tie
+	for len(ties) < 32 {
+		w := make([]float32, 257+rng.Intn(3000))
+		var sq float64
+		for j := range w {
+			w[j] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(21)-10))
+			sq += float64(float64(w[j]) * float64(w[j]))
+		}
+		// Both optimizers' products must land on ties.
+		if _, ok := tieLR(math.Sqrt(sq)); !ok {
+			continue
+		}
+		if _, ok := tieLR(2 * math.Sqrt(sq)); ok {
+			ties = append(ties, tie{w, math.Sqrt(sq)})
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		factor float64
+		opt    func() Optimizer
+	}{
+		{"lars", 1, func() Optimizer { return &LARS{Eta: 1, Momentum: 0.9, slots: state{}} }},
+		{"lamb", 2, func() Optimizer { return &LAMB{Eps: 1, slots: state{}} }},
+	} {
+		var ref [][]float32
+		for _, workers := range []int{1, 2, 4} {
+			parallel.SetMaxWorkers(workers)
+			var got [][]float32
+			for _, c := range ties {
+				lr, _ := tieLR(tc.factor * c.norm)
+				p := quadParam(c.w, c.w)
+				p.Value.Grad.Data()[0] = 1
+				tc.opt().Step([]*nn.Param{p}, lr)
+				got = append(got, p.Data().Data())
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for i := range got {
+				for j, v := range got[i] {
+					if math.Float32bits(v) != math.Float32bits(ref[i][j]) {
+						t.Fatalf("%s: tie %d w[%d] = %v at %d workers, %v at 1", tc.name, i, j, v, workers, ref[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestOptimizerStepAllocatesNothing(t *testing.T) {
+	// Once every slot exists, a step allocates nothing: LAMB's update and
+	// SM3's odometer reuse per-optimizer scratch.
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	for _, name := range []string{"sgd", "rmsprop", "lars", "adam", "lamb", "sm3"} {
+		opt, _ := ByName(name, 1e-4)
+		ps := stepParams(2)
+		opt.Step(ps, 1e-3)
+		if allocs := testing.AllocsPerRun(20, func() { opt.Step(ps, 1e-3) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per warm step, want 0", name, allocs)
+		}
 	}
 }

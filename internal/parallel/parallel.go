@@ -115,49 +115,3 @@ func Do(fns ...func()) {
 	}
 	wg.Wait()
 }
-
-// ReduceFloat64 computes the sum of body(i) over i in [0, n) with
-// deterministic per-chunk partial sums combined in index order, so results
-// are reproducible for a fixed worker bound.
-func ReduceFloat64(n int, body func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= minGrain {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += body(i)
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nchunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += body(i)
-			}
-			partial[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}

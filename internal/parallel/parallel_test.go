@@ -104,31 +104,6 @@ func TestForChunkedExactPartition(t *testing.T) {
 	}
 }
 
-func TestReduceFloat64MatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 257, 10000} {
-		got := ReduceFloat64(n, func(i int) float64 { return float64(i) })
-		want := float64(n) * float64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if got != want {
-			t.Fatalf("ReduceFloat64(n=%d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
-func TestReduceDeterministic(t *testing.T) {
-	// Floating-point reduction must be reproducible run-to-run because
-	// partials are combined in chunk-index order.
-	body := func(i int) float64 { return 1.0 / float64(i+1) }
-	a := ReduceFloat64(100000, body)
-	for k := 0; k < 5; k++ {
-		if b := ReduceFloat64(100000, body); b != a {
-			t.Fatalf("nondeterministic reduction: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestSetMaxWorkers(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)

@@ -106,13 +106,14 @@ func shardEfficiency(modelShards int) float64 {
 }
 
 // MiniCollective is one collective call of a measured mini-scale step — the
-// payload trace MiniHybridStep prices. AllGather marks the model-axis
-// activation/gradient-slice gathers; everything else is priced as a ring
-// all-reduce.
+// payload trace MiniHybridStep prices. All-gathers (the model-axis
+// activation and gradient-slice gathers) are charged to the exchange term;
+// the data-axis weight refresh (an in-place all-gather) and everything else
+// to the all-reduce term.
 type MiniCollective struct {
-	AllGather bool
-	Bytes     int
-	World     int
+	Op    comm.Op
+	Bytes int
+	World int
 }
 
 // MiniHybridStep prices one mini-scale D×M training step the way
@@ -146,9 +147,12 @@ func MiniHybridStep(model string, d, m, globalBatch int, perImgSeconds float64, 
 		if c.World < 2 {
 			continue
 		}
-		if c.AllGather {
+		switch c.Op {
+		case comm.OpAllGather:
 			h.ActExchangeSeconds += comm.RingAllGatherSeconds(c.Bytes, c.World, links)
-		} else {
+		case comm.OpAllGatherInPlace:
+			h.AllReduceSeconds += comm.RingAllGatherSeconds(c.Bytes, c.World, links)
+		default:
 			h.AllReduceSeconds += comm.RingAllReduceSeconds(c.Bytes, c.World, links)
 		}
 	}

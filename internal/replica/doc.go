@@ -1,11 +1,17 @@
 // Package replica implements the data-parallel training engine at the heart
 // of the reproduction: N replicas (goroutines standing in for TPU cores)
 // each hold a full copy of the model and a shard of every global batch, run
-// forward/backward locally, all-reduce gradients through a pluggable
+// forward/backward locally, and all-reduce gradients through a pluggable
 // comm.Collective (ring by default; tree, hierarchical 2-D torus or
-// cost-model-automatic via Config.Collective), and apply identical
-// optimizer updates so the replicas never diverge — the same SPMD structure
-// the paper's TPU training uses.
+// cost-model-automatic via Config.Collective) — the same SPMD structure the
+// paper's TPU training uses.
+//
+// The weight update is sharded across the data axis (owner.go): each rank
+// owns a contiguous run of whole parameters, averages and updates only
+// those, and one in-place all-gather per step copies every owner's weights
+// into its peers' flat weight buffers (efficientnet.Model.BindWeights), so
+// the replicas never diverge and each optimizer slot exists on one rank per
+// data coordinate. The snapshot merges the owners' slots.
 //
 // Gradient reduction is bucketed and overlapped with the backward pass
 // itself: every parameter's gradient is bound into the flattened reduction

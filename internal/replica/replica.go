@@ -210,6 +210,17 @@ type Replica struct {
 	buckets [][2]int
 	accum   int
 
+	// weightBuf holds every parameter's weights in Params() order
+	// (BindWeights), the buffer the refresh all-gather fills. owned is the
+	// run of parameters this rank's data coordinate updates: floats
+	// [ownBounds[dataRank], ownBounds[dataRank+1]) of weightBuf and gradBuf.
+	weightBuf []float32
+	owned     []*nn.Param
+	ownBounds []int
+	// sums carries the step's loss/correct/seen totals through the metrics
+	// all-reduce; a field, so the step does not allocate it.
+	sums [3]float64
+
 	// tape drives the backward passes; every parameter is registered with
 	// it and has its gradient bound into gradBuf (no flatten copy), so the
 	// tape's grad-ready hooks can dispatch reduction buckets mid-backward.
@@ -443,7 +454,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.gradLen = models[0].NumParams()
 	e.buckets = gradBuckets(e.gradLen, cfg.GradBucketBytes)
-	e.paramBuckets, e.bucketParams = bucketMembership(paramSpans(models[0].Params()), e.buckets)
+	spans := paramSpans(models[0].Params())
+	e.paramBuckets, e.bucketParams = bucketMembership(spans, e.buckets)
+	// Data-axis rank d owns Params()[cuts[d]:cuts[d+1]], floats
+	// [bounds[d], bounds[d+1]) of the flat weight and gradient buffers.
+	cuts, bounds := ownership(spans, cfg.Mesh.Data)
 
 	// The global batch follows the data axis: model-group members consume
 	// the same shard, so only Data distinct batches exist per step.
@@ -467,11 +482,19 @@ func New(cfg Config) (*Engine, error) {
 			val:       data.NewShard(cfg.Dataset, 1, d, cfg.Mesh.Data),
 			ctx:       &nn.Ctx{Training: true, Precision: cfg.Precision, Scratch: e.scratch},
 			gradBuf:   make([]float32, e.gradLen),
+			weightBuf: make([]float32, e.gradLen),
+			owned:     m.Params()[cuts[d]:cuts[d+1]],
+			ownBounds: bounds,
 			buckets:   e.buckets,
 			accum:     cfg.GradAccumSteps,
 			prefetch:  cfg.PrefetchDepth,
 			batchSize: cfg.PerReplicaBatch,
 			res:       modelCfg.Resolution,
+		}
+		// Weights move into the flat buffer before anything reads them, so
+		// a parameter's weight span and gradient span coincide.
+		if n := m.BindWeights(rep.weightBuf); n != e.gradLen {
+			panic(fmt.Sprintf("replica: bound %d weight floats, gradLen is %d", n, e.gradLen))
 		}
 		if cfg.Mesh.Model > 1 {
 			// The plan shards the 1×1 convs' channels across the model axis;
@@ -632,10 +655,13 @@ func (e *Engine) StepCount() int { return e.stepCount }
 func (e *Engine) Replica(r int) *Replica { return e.replicas[r] }
 
 // Step executes one synchronized global training step: every replica runs
-// forward/backward on its shard of the batch, gradients are all-reduced in
-// overlapped buckets through the configured collective and averaged, and
-// each replica applies the identical optimizer update. It refuses to run on
-// a closed engine or one poisoned by a failed state restore.
+// forward/backward on its shard of the batch and gradients are all-reduced
+// in overlapped buckets through the configured collective. Each data-axis
+// rank then averages and updates only the parameters it owns, and one
+// in-place all-gather over the data axis copies every owner's new weights
+// into its peers, so all replicas leave the step with bitwise-identical
+// weights. It refuses to run on a closed engine or one poisoned by a failed
+// state restore.
 func (e *Engine) Step() (StepResult, error) {
 	if err := e.checkUsable(); err != nil {
 		return StepResult{}, err
@@ -826,31 +852,38 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 	if r.plan != nil {
 		// The data axis reduced only the weight-gradient rows each model
 		// rank owns (zeros elsewhere); the model axis now all-gathers the
-		// slices so every rank holds the full gradient — and the optimizer
-		// below applies the identical update everywhere, keeping the weights
-		// bitwise replicated across the whole mesh.
+		// slices so every rank holds the full gradient, and each model
+		// column below shards the update along its own data axis.
 		r.plan.exchangeGrads(r.gradBuf, sample)
 	}
 	t0 = sample.Now()
-	// Average in place: every parameter's Grad aliases gradBuf, so one
-	// scale pass readies all of them for the optimizer. Same multiply in
-	// the same order as the old copy-out loop — bit-for-bit the same step.
+	// Sharded update: average and step only the owned run (every Grad
+	// aliases gradBuf), then copy every owner's weights into this rank. The
+	// stream is done with the data-axis endpoint, so the refresh is its only
+	// call. Every rank steps, even one that owns nothing, so Adam's and
+	// LAMB's step counters stay equal everywhere; at a data axis of 1 the
+	// rank owns everything and there is nothing to refresh.
+	lo, hi := r.ownBounds[r.dataRank], r.ownBounds[r.dataRank+1]
 	inv := float32(1) / float32(dataWorld*r.accum)
-	for i := range r.gradBuf {
-		r.gradBuf[i] *= inv
+	g := r.gradBuf[lo:hi]
+	for i := range g {
+		g[i] *= inv
 	}
-	r.opt.Step(r.Model.Params(), lr)
+	r.opt.Step(r.owned, lr)
+	if dataWorld > 1 {
+		r.coll.AllGatherInPlace(r.weightBuf, r.ownBounds)
+	}
 	if r.ema != nil {
 		r.ema.Update(r.Model.Params())
 	}
 	sample.Add(telemetry.PhaseOptimizer, t0)
 
 	// Metrics: local sums all-reduced into global means.
-	sums := []float64{lossSum, float64(correct), float64(seen)}
-	r.coll.AllReduceF64(sums)
+	r.sums = [3]float64{lossSum, float64(correct), float64(seen)}
+	r.coll.AllReduceF64(r.sums[:])
 	return StepResult{
-		Loss:     sums[0] / sums[2],
-		Accuracy: sums[1] / sums[2],
+		Loss:     r.sums[0] / r.sums[2],
+		Accuracy: r.sums[1] / r.sums[2],
 	}
 }
 

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"maps"
 
 	"effnetscale/internal/checkpoint"
 	"effnetscale/internal/mesh"
@@ -15,10 +16,15 @@ import (
 // training trajectory bit-for-bit — the correctness contract the resume
 // tests enforce.
 //
-// Synchronous data parallelism keeps weights, optimizer slots and the EMA
-// shadow bitwise identical across replicas (the WeightsInSync invariant), so
-// those are captured once from rank 0 and restored into every rank; only BN
-// running statistics and RNG cursors are captured per replica.
+// Synchronous data parallelism keeps weights and the EMA shadow bitwise
+// identical across replicas (the WeightsInSync invariant), so those are
+// captured once from rank 0 and restored into every rank. Optimizer slots
+// live only on the data-axis rank that owns their parameter (see owner.go):
+// the "optim" component merges every owner's slots, one rank per data
+// coordinate, into the same component a single optimizer over all
+// parameters would write, and a restore validates it against every
+// parameter before each rank keeps its own. BN running statistics and RNG
+// cursors are captured per replica.
 //
 // The configuration fingerprint is split in two. Trajectory fields pin what
 // is being trained (model, optimizer, seed, data, the global batch);
@@ -128,9 +134,16 @@ func (e *Engine) CaptureState() (*checkpoint.Snapshot, error) {
 	if err := snap.Capture(checkpoint.ModelState(r0.Model)); err != nil {
 		return nil, err
 	}
-	oc, err := r0.opt.CaptureState(r0.Model.Params())
-	if err != nil {
-		return nil, fmt.Errorf("replica: capture optimizer: %w", err)
+	oc := checkpoint.Component{}
+	for d := 0; d < e.cfg.Mesh.Data; d++ {
+		// Owners' keys are disjoint apart from the optimizer's name and step
+		// counter, which every rank holds equal.
+		owner := e.replicas[e.cfg.Mesh.Rank(d, 0)]
+		c, err := owner.opt.CaptureState(owner.owned)
+		if err != nil {
+			return nil, fmt.Errorf("replica: capture optimizer: %w", err)
+		}
+		maps.Copy(oc, c)
 	}
 	if err := snap.Add(optimComponent, oc); err != nil {
 		return nil, err
@@ -232,6 +245,21 @@ func (e *Engine) validateFingerprint(eng checkpoint.Component) error {
 		return fmt.Errorf("replica: snapshot topology configuration does not match engine (the trajectory is compatible; elastic resharding can adapt the snapshot — effnettrain -resume -elastic, or elastic.Reshard):\n  snapshot: %s\n  engine:   %s", savedTopo, fp)
 	}
 	return nil
+}
+
+// restoreOwnedSlots restores the optimizer from the merged component,
+// validated against every parameter, and then keeps only the slots of the
+// parameters this rank owns: a capture over the owned run holds exactly
+// those slots and the counters, and restoring it replaces the rest.
+func (r *Replica) restoreOwnedSlots(oc checkpoint.Component) error {
+	if err := r.opt.RestoreState(r.Model.Params(), oc); err != nil {
+		return err
+	}
+	mine, err := r.opt.CaptureState(r.owned)
+	if err != nil {
+		return err
+	}
+	return r.opt.RestoreState(r.owned, mine)
 }
 
 // replicaRestore is one rank's validated per-replica state, staged during
@@ -364,12 +392,12 @@ func (e *Engine) RestoreState(snap *checkpoint.Snapshot) error {
 // state.
 func (e *Engine) applyState(snap *checkpoint.Snapshot, oc, ec checkpoint.Component, states []replicaRestore) error {
 	for r, rep := range e.replicas {
-		// Weights, optimizer slots and EMA shadow are replica-identical;
-		// restore the same components into each rank's own storage.
+		// Weights and EMA shadow are replica-identical; restore the same
+		// components into each rank's own storage.
 		if err := snap.Restore(checkpoint.ModelState(rep.Model)); err != nil {
 			return err
 		}
-		if err := rep.opt.RestoreState(rep.Model.Params(), oc); err != nil {
+		if err := rep.restoreOwnedSlots(oc); err != nil {
 			return fmt.Errorf("replica: restore optimizer (rank %d): %w", r, err)
 		}
 		if ec != nil {

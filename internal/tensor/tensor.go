@@ -292,23 +292,37 @@ func Apply(a *Tensor, f func(float32) float32) *Tensor {
 	return out
 }
 
+// The float64 reductions below add in index order on the calling goroutine,
+// so their bits depend on neither the worker bound nor the host: an
+// optimizer's trust ratio (LARS, LAMB) is the same at any GOMAXPROCS. The
+// conversions round each product before the add, which keeps a compiler
+// from fusing the two.
+
 // Sum returns the sum of all elements (accumulated in float64 for accuracy).
 func (t *Tensor) Sum() float64 {
-	return parallel.ReduceFloat64(len(t.data), func(i int) float64 { return float64(t.data[i]) })
+	var s float64
+	for _, v := range t.data {
+		s += float64(v)
+	}
+	return s
 }
 
 // Dot returns the inner product of a and b accumulated in float64.
 func Dot(a, b *Tensor) float64 {
 	assertSameShape("Dot", a, b)
-	return parallel.ReduceFloat64(len(a.data), func(i int) float64 { return float64(a.data[i]) * float64(b.data[i]) })
+	var s float64
+	for i, v := range a.data {
+		s += float64(float64(v) * float64(b.data[i]))
+	}
+	return s
 }
 
 // Norm returns the Euclidean norm of t accumulated in float64.
 func (t *Tensor) Norm() float64 {
-	s := parallel.ReduceFloat64(len(t.data), func(i int) float64 {
-		v := float64(t.data[i])
-		return v * v
-	})
+	var s float64
+	for _, v := range t.data {
+		s += float64(float64(v) * float64(v))
+	}
 	return math.Sqrt(s)
 }
 

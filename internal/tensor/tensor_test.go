@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"effnetscale/internal/parallel"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -135,6 +137,36 @@ func TestSumDotNorm(t *testing.T) {
 	b := FromSlice([]float32{1, 2}, 2)
 	if got := Dot(a, b); got != 11 {
 		t.Errorf("Dot = %v, want 11", got)
+	}
+}
+
+func TestReductionsAddInIndexOrder(t *testing.T) {
+	// Magnitudes spanning 2^±20 make float64 sums depend on their order, so
+	// any chunked or reordered reduction fails here at some worker bound.
+	rng := rand.New(rand.NewSource(3))
+	a, b := New(10007), New(10007)
+	for i := range a.Data() {
+		a.Data()[i] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(41)-20))
+		b.Data()[i] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(41)-20))
+	}
+	var sum, dot, sq float64
+	for i, v := range a.Data() {
+		sum += float64(v)
+		dot += float64(float64(v) * float64(b.Data()[i]))
+		sq += float64(float64(v) * float64(v))
+	}
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	for _, workers := range []int{1, 2, 4} {
+		parallel.SetMaxWorkers(workers)
+		if got := a.Sum(); math.Float64bits(got) != math.Float64bits(sum) {
+			t.Errorf("workers %d: Sum = %v, want %v", workers, got, sum)
+		}
+		if got := Dot(a, b); math.Float64bits(got) != math.Float64bits(dot) {
+			t.Errorf("workers %d: Dot = %v, want %v", workers, got, dot)
+		}
+		if got := a.Norm(); math.Float64bits(got) != math.Float64bits(math.Sqrt(sq)) {
+			t.Errorf("workers %d: Norm = %v, want %v", workers, got, math.Sqrt(sq))
+		}
 	}
 }
 
