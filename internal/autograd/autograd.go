@@ -43,6 +43,10 @@ type Value struct {
 	// current accumulation window; the first Accumulate overwrites
 	// (bit-for-bit what Clone used to produce) instead of adding.
 	fresh bool
+	// arena is the step arena this node's consumers allocate from: set on a
+	// leaf by LeafIn, inherited by every op result from its first parent
+	// that has one (nil = the heap).
+	arena *tensor.Arena
 }
 
 // Leaf wraps t as a graph input. If requiresGrad is true, Backward will
@@ -54,6 +58,53 @@ func Leaf(t *tensor.Tensor, requiresGrad bool) *Value {
 
 // Constant wraps t as a non-differentiable input.
 func Constant(t *tensor.Tensor) *Value { return Leaf(t, false) }
+
+// LeafIn is Leaf for a graph that allocates from the step arena a: every op
+// downstream of the leaf takes its output, its backward temporaries and its
+// node's first gradient from a, and so must not be read after a's next Reset.
+// The leaf's own gradient is still heap memory. The engine feeds each
+// micro-batch through a LeafIn over the replica's arena.
+func LeafIn(a *tensor.Arena, t *tensor.Tensor, requiresGrad bool) *Value {
+	v := Leaf(t, requiresGrad)
+	v.arena = a
+	return v
+}
+
+// Arena returns the step arena ops over v allocate from (nil = the heap).
+// Ops outside this package, such as batch norm, allocate their outputs and
+// temporaries from their first input's arena, as NewOp's result inherits it.
+func (v *Value) Arena() *tensor.Arena { return v.arena }
+
+// arenaOf returns the arena of the first of vs that has one: where an op
+// over vs allocates, and what NewOp hands its result.
+func arenaOf(vs ...*Value) *tensor.Arena {
+	for _, v := range vs {
+		if v.arena != nil {
+			return v.arena
+		}
+	}
+	return nil
+}
+
+// isLeaf reports whether v is a graph input.
+func (v *Value) isLeaf() bool { return len(v.parents) == 0 }
+
+// gradArena is where v's gradient is allocated: v's step arena for an op
+// result, the heap for a leaf, whose gradient outlives the step (parameters
+// accumulate across micro-batches and feed the optimizer).
+func (v *Value) gradArena() *tensor.Arena {
+	if v.isLeaf() {
+		return nil
+	}
+	return v.arena
+}
+
+// clone copies t into a fresh tensor from ar.
+func clone(ar *tensor.Arena, t *tensor.Tensor) *tensor.Tensor {
+	c := ar.New(t.Shape()...)
+	copy(c.Data(), t.Data())
+	return c
+}
 
 // RequiresGrad reports whether gradients flow into this Value.
 func (v *Value) RequiresGrad() bool { return v.requiresGrad }
@@ -95,7 +146,9 @@ func (v *Value) BindGrad(t *tensor.Tensor) {
 // NewOp creates a Value produced by a custom operator. out is the forward
 // result, parents are the graph inputs, and back receives dLoss/dout and must
 // push contributions into each parent via Accumulate. back may be nil for
-// non-differentiable ops. The node requires grad iff any parent does.
+// non-differentiable ops. The node requires grad iff any parent does, and
+// inherits the step arena of its first parent that has one: an op allocates
+// out, and back its temporaries, from that same arena (see Arena).
 func NewOp(op string, out *tensor.Tensor, parents []*Value, back func(grad *tensor.Tensor)) *Value {
 	req := false
 	for _, p := range parents {
@@ -104,7 +157,7 @@ func NewOp(op string, out *tensor.Tensor, parents []*Value, back func(grad *tens
 			break
 		}
 	}
-	v := &Value{T: out, requiresGrad: req, parents: parents, op: op}
+	v := &Value{T: out, requiresGrad: req, parents: parents, op: op, arena: arenaOf(parents...)}
 	if req {
 		v.back = back
 	}
@@ -112,14 +165,16 @@ func NewOp(op string, out *tensor.Tensor, parents []*Value, back func(grad *tens
 }
 
 // Accumulate adds g into v's gradient if v requires one. Ops call this from
-// their backward closures. A fresh bound gradient is overwritten in place —
-// the same bits Clone used to produce, without the allocation.
+// their backward closures. A first contribution is copied: onto the heap for
+// a leaf, into v's step arena for an op result. A fresh bound gradient is
+// overwritten in place — the same bits Clone used to produce, without the
+// allocation.
 func (v *Value) Accumulate(g *tensor.Tensor) {
 	if !v.requiresGrad {
 		return
 	}
 	if v.Grad == nil {
-		v.Grad = g.Clone()
+		v.Grad = clone(v.gradArena(), g)
 		return
 	}
 	if v.fresh {
@@ -135,14 +190,16 @@ func (v *Value) Accumulate(g *tensor.Tensor) {
 
 // AccumulateOwned is Accumulate for a gradient the caller allocated for this
 // one call and will never read, write or hand to anyone else again: a first
-// contribution adopts g itself as v's gradient instead of cloning it (the
-// same bits, one allocation and one copy fewer per activation). Later
-// contributions add into the adopted tensor, which is why the caller must
-// let go of it. Ops that forward their own incoming gradient (Add, Reshape,
-// AddChannel, ...) must keep using Accumulate: that tensor belongs to the
-// node it was accumulated for.
+// contribution to an op result adopts g itself as its gradient instead of
+// cloning it (the same bits, one allocation and one copy fewer per
+// activation). Later contributions add into the adopted tensor, which is why
+// the caller must let go of it. A leaf copies g onto the heap as Accumulate
+// does: g may be step-arena memory, and a leaf's gradient outlives the step.
+// Ops that forward their own incoming gradient (Add, Reshape, AddChannel,
+// ...) must keep using Accumulate: that tensor belongs to the node it was
+// accumulated for.
 func (v *Value) AccumulateOwned(g *tensor.Tensor) {
-	if v.requiresGrad && v.Grad == nil {
+	if v.requiresGrad && v.Grad == nil && !v.isLeaf() {
 		v.Grad = g
 		return
 	}
@@ -151,7 +208,7 @@ func (v *Value) AccumulateOwned(g *tensor.Tensor) {
 
 // Backward computes gradients of v (which must be a scalar: one element)
 // with respect to every reachable Value that requires gradients. Callers
-// that need grad-ready hooks or want the traversal arenas reused across
+// that need grad-ready hooks or want the traversal buffers reused across
 // steps run the equivalent Tape.Backward instead.
 func (v *Value) Backward() {
 	var t Tape
@@ -170,7 +227,7 @@ type frame struct {
 	next int
 }
 
-// Tape owns a backward traversal: reusable DFS arenas (no per-step visited
+// Tape owns a backward traversal: reusable DFS buffers (no per-step visited
 // map or order allocation) and the grad-ready seam. Leaves registered as
 // parameters fire the OnGradReady hook the moment their last gradient
 // contribution of a pass lands — while the pass is still back-propagating
@@ -184,7 +241,7 @@ type Tape struct {
 	params  []*Value
 	onReady func(*Value)
 
-	// order and stack are the traversal arenas, reused across passes.
+	// order and stack are the traversal buffers, reused across passes.
 	order []*Value
 	stack []frame
 }
@@ -230,7 +287,8 @@ func (t *Tape) Backward(root *Value) {
 	pass := passCounter.Add(1)
 	if root.requiresGrad {
 		t.topo(root, pass)
-		root.Grad = tensor.Ones(root.T.Shape()...)
+		root.Grad = root.gradArena().New(root.T.Shape()...)
+		root.Grad.Fill(1)
 		// Reverse topological order: every node's gradient is complete
 		// before its back function runs.
 		for i := len(t.order) - 1; i >= 0; i-- {
@@ -260,10 +318,21 @@ func (t *Tape) Backward(root *Value) {
 	}
 }
 
+// Release drops the tape's references to the nodes of its last pass, keeping
+// the buffers' capacity. Until then that graph, and every tensor it holds,
+// stays reachable: a step's heap memory would survive into the next step, and
+// a garbage collection then would size the heap for two steps. The engine
+// calls it when it resets a micro-batch's arena.
+func (t *Tape) Release() {
+	clear(t.order)
+	t.order = t.order[:0]
+	clear(t.stack[:cap(t.stack)])
+}
+
 // topo fills t.order with the nodes reachable from root in topological
 // order (parents before children), stamping each with the pass and counting
 // its incoming gradient edges into pending. Iterative DFS — deep networks
-// must not recurse — over arenas reused across passes.
+// must not recurse — over buffers reused across passes.
 func (t *Tape) topo(root *Value, pass uint64) {
 	t.order = t.order[:0]
 	t.stack = append(t.stack[:0], frame{v: root})
@@ -291,10 +360,38 @@ func (t *Tape) topo(root *Value, pass uint64) {
 }
 
 // --- Core differentiable operators ----------------------------------------
+//
+// Every op takes its output, its backward temporaries and its gradient
+// tensors from the arena of its first input that has one (arenaOf), through
+// the tensor kernels' Into forms; with no arena they are heap tensors, as
+// before.
+
+// scaled returns t*s in a fresh tensor from ar: tensor.Scale's bits.
+func scaled(ar *tensor.Arena, t *tensor.Tensor, s float32) *tensor.Tensor {
+	c := clone(ar, t)
+	c.ScaleInPlace(s)
+	return c
+}
+
+// product returns the element-wise a*b in a fresh tensor from ar.
+func product(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
+	out := ar.New(a.Shape()...)
+	tensor.MulInto(out, a, b)
+	return out
+}
+
+// full returns a tensor of the given shape filled with v, from ar.
+func full(ar *tensor.Arena, v float32, shape ...int) *tensor.Tensor {
+	out := ar.New(shape...)
+	out.Fill(v)
+	return out
+}
 
 // Add returns a + b element-wise.
 func Add(a, b *Value) *Value {
-	out := tensor.Add(a.T, b.T)
+	ar := arenaOf(a, b)
+	out := clone(ar, a.T) // a[i] + b[i], as tensor.Add adds
+	tensor.AddInto(out, b.T)
 	return NewOp("add", out, []*Value{a, b}, func(g *tensor.Tensor) {
 		a.Accumulate(g)
 		b.Accumulate(g)
@@ -303,27 +400,31 @@ func Add(a, b *Value) *Value {
 
 // Sub returns a - b element-wise.
 func Sub(a, b *Value) *Value {
-	out := tensor.Sub(a.T, b.T)
+	ar := arenaOf(a, b)
+	out := ar.New(a.T.Shape()...)
+	tensor.SubInto(out, a.T, b.T)
 	return NewOp("sub", out, []*Value{a, b}, func(g *tensor.Tensor) {
 		a.Accumulate(g)
-		b.Accumulate(tensor.Scale(g, -1))
+		b.Accumulate(scaled(ar, g, -1))
 	})
 }
 
 // Mul returns the element-wise product a * b.
 func Mul(a, b *Value) *Value {
-	out := tensor.Mul(a.T, b.T)
+	ar := arenaOf(a, b)
+	out := product(ar, a.T, b.T)
 	return NewOp("mul", out, []*Value{a, b}, func(g *tensor.Tensor) {
-		a.Accumulate(tensor.Mul(g, b.T))
-		b.Accumulate(tensor.Mul(g, a.T))
+		a.Accumulate(product(ar, g, b.T))
+		b.Accumulate(product(ar, g, a.T))
 	})
 }
 
 // Scale returns a * s for scalar s.
 func Scale(a *Value, s float32) *Value {
-	out := tensor.Scale(a.T, s)
+	ar := a.arena
+	out := scaled(ar, a.T, s)
 	return NewOp("scale", out, []*Value{a}, func(g *tensor.Tensor) {
-		a.Accumulate(tensor.Scale(g, s))
+		a.Accumulate(scaled(ar, g, s))
 	})
 }
 
@@ -338,26 +439,38 @@ func Reshape(a *Value, shape ...int) *Value {
 
 // MatMul returns a @ b for rank-2 operands.
 func MatMul(a, b *Value) *Value {
-	out := tensor.MatMul(a.T, b.T)
+	if a.T.Rank() != 2 || b.T.Rank() != 2 {
+		panic(fmt.Sprintf("autograd: MatMul requires rank-2 operands, got %v and %v", a.T.Shape(), b.T.Shape()))
+	}
+	ar := arenaOf(a, b)
+	out := ar.New(a.T.Dim(0), b.T.Dim(1))
+	tensor.MatMulInto(out, a.T, b.T, false)
 	return NewOp("matmul", out, []*Value{a, b}, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			a.Accumulate(tensor.MatMulTB(g, b.T)) // dA = g @ Bᵀ
+			da := ar.New(a.T.Shape()...)
+			tensor.MatMulTBInto(da, g, b.T) // dA = g @ Bᵀ
+			a.Accumulate(da)
 		}
 		if b.requiresGrad {
-			b.Accumulate(tensor.MatMulTA(a.T, g)) // dB = Aᵀ @ g
+			db := ar.New(b.T.Shape()...)
+			tensor.MatMulTAInto(db, a.T, g) // dB = Aᵀ @ g
+			b.Accumulate(db)
 		}
 	})
 }
 
 // AddChannel adds a per-channel bias b [C] to activations x [N,C,H,W].
 func AddChannel(x, b *Value) *Value {
-	out := tensor.AddChannel(x.T, b.T)
+	ar := arenaOf(x, b)
+	out := ar.New(x.T.Shape()...)
+	tensor.AddChannelInto(out, x.T, b.T)
 	return NewOp("addchannel", out, []*Value{x, b}, func(g *tensor.Tensor) {
 		x.Accumulate(g)
 		if b.requiresGrad {
-			nc := tensor.SumChannelNC(g) // [N,C]
-			n, c := nc.Dim(0), nc.Dim(1)
-			db := tensor.New(c)
+			n, c, _, _ := g.Dim4()
+			nc := ar.New(n, c)
+			tensor.SumChannelNCInto(nc, g)
+			db := ar.New(c)
 			for i := 0; i < n; i++ {
 				for j := 0; j < c; j++ {
 					db.Data()[j] += nc.At(i, j)
@@ -374,7 +487,8 @@ func AddRowBias(x, b *Value) *Value {
 	if b.T.Rank() != 1 || b.T.Dim(0) != m {
 		panic(fmt.Sprintf("autograd: AddRowBias bias shape %v does not match [%d,%d]", b.T.Shape(), n, m))
 	}
-	out := tensor.New(n, m)
+	ar := arenaOf(x, b)
+	out := ar.New(n, m)
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			out.Data()[i*m+j] = x.T.Data()[i*m+j] + b.T.Data()[j]
@@ -383,7 +497,7 @@ func AddRowBias(x, b *Value) *Value {
 	return NewOp("addrowbias", out, []*Value{x, b}, func(g *tensor.Tensor) {
 		x.Accumulate(g)
 		if b.requiresGrad {
-			db := tensor.New(m)
+			db := ar.New(m)
 			for i := 0; i < n; i++ {
 				for j := 0; j < m; j++ {
 					db.Data()[j] += g.Data()[i*m+j]
@@ -397,26 +511,34 @@ func AddRowBias(x, b *Value) *Value {
 // MulChannelNC scales x [N,C,H,W] by s [N,C] broadcast over H,W
 // (squeeze-excitation's re-scaling).
 func MulChannelNC(x, s *Value) *Value {
-	out := tensor.MulChannelNC(x.T, s.T)
+	ar := arenaOf(x, s)
+	out := ar.New(x.T.Shape()...)
+	tensor.MulChannelNCInto(out, x.T, s.T)
 	return NewOp("mulchannelnc", out, []*Value{x, s}, func(g *tensor.Tensor) {
 		if x.requiresGrad {
-			x.AccumulateOwned(tensor.MulChannelNC(g, s.T))
+			dx := ar.New(x.T.Shape()...)
+			tensor.MulChannelNCInto(dx, g, s.T)
+			x.AccumulateOwned(dx)
 		}
 		if s.requiresGrad {
-			s.AccumulateOwned(tensor.SumChannelNC(tensor.Mul(g, x.T)))
+			ds := ar.New(s.T.Shape()...)
+			tensor.SumChannelNCInto(ds, product(ar, g, x.T))
+			s.AccumulateOwned(ds)
 		}
 	})
 }
 
 // GlobalAvgPool reduces x [N,C,H,W] to [N,C] by averaging over H and W.
 func GlobalAvgPool(x *Value) *Value {
-	_, _, h, w := x.T.Dim4()
+	n, c, h, w := x.T.Dim4()
 	inv := 1 / float32(h*w)
-	out := tensor.Scale(tensor.SumChannelNC(x.T), inv)
+	ar := x.arena
+	out := ar.New(n, c)
+	tensor.SumChannelNCInto(out, x.T)
+	out.ScaleInPlace(inv)
 	xShape := x.T.Shape()
 	return NewOp("gap", out, []*Value{x}, func(g *tensor.Tensor) {
-		n, c := g.Dim(0), g.Dim(1)
-		dx := tensor.New(xShape...)
+		dx := ar.New(xShape...)
 		hw := h * w
 		for nc := 0; nc < n*c; nc++ {
 			gv := g.Data()[nc] * inv
@@ -432,19 +554,21 @@ func GlobalAvgPool(x *Value) *Value {
 // Mean returns the scalar mean of all elements of a, shaped [1].
 func Mean(a *Value) *Value {
 	n := a.T.Len()
-	out := tensor.FromSlice([]float32{float32(a.T.Sum() / float64(n))}, 1)
+	ar := a.arena
+	out := full(ar, float32(a.T.Sum()/float64(n)), 1)
 	aShape := a.T.Shape()
 	return NewOp("mean", out, []*Value{a}, func(g *tensor.Tensor) {
 		gv := g.Data()[0] / float32(n)
-		a.Accumulate(tensor.Full(gv, aShape...))
+		a.Accumulate(full(ar, gv, aShape...))
 	})
 }
 
 // Sum returns the scalar sum of all elements of a, shaped [1].
 func Sum(a *Value) *Value {
-	out := tensor.FromSlice([]float32{float32(a.T.Sum())}, 1)
+	ar := a.arena
+	out := full(ar, float32(a.T.Sum()), 1)
 	aShape := a.T.Shape()
 	return NewOp("sum", out, []*Value{a}, func(g *tensor.Tensor) {
-		a.Accumulate(tensor.Full(g.Data()[0], aShape...))
+		a.Accumulate(full(ar, g.Data()[0], aShape...))
 	})
 }

@@ -27,8 +27,25 @@
 // convolutions, batch norm, pooling, channel scaling) hands that tensor over
 // instead of having it cloned, and must not touch it again; ops that forward
 // the gradient they received keep Accumulate. The Tape also reuses its
-// traversal arenas (order slice, DFS stack; visited marks are pass stamps on
+// traversal buffers (order slice, DFS stack; visited marks are pass stamps on
 // the nodes themselves) across steps.
+//
+// The step arena: a leaf built by LeafIn carries a tensor.Arena, and every op
+// result inherits the arena of its first parent that has one (NewOp), so one
+// LeafIn over the batch puts a whole forward and backward in the arena: op
+// outputs, what ops keep for their backward (Swish's σ, batch norm's xhat,
+// bf16 operand copies, softmax probabilities), backward temporaries, and each
+// op result's first gradient, copied or adopted. Ops outside this package
+// follow the same rule through Value.Arena, and so do the per-step inputs
+// they build, such as dropout masks. A leaf's gradient is the exception:
+// Accumulate and AccumulateOwned copy a leaf's first contribution onto the
+// heap, because parameter gradients outlive the step. Everything
+// else the graph holds is valid only until the arena's Reset, which the
+// replica engine calls when a micro-batch's loss and accuracy are counted,
+// together with Tape.Release so that the tape's buffers do not keep the dead
+// graph reachable.
+// With no LeafIn the arena is nil and every op allocates on the heap, as
+// tests, evaluation and the benchmark probes do.
 //
 // Swish and Sigmoid — forward and Swish's backward — run tensor's
 // element-wise kernels (tensor.SwishInto and friends), the same ones the

@@ -12,10 +12,11 @@ import (
 // Sigmoid applies the logistic function element-wise (tensor.SigmoidInto,
 // the one sigmoid in the repo).
 func Sigmoid(a *Value) *Value {
-	out := tensor.New(a.T.Shape()...)
+	ar := a.arena
+	out := ar.New(a.T.Shape()...)
 	tensor.SigmoidInto(out.Data(), a.T.Data())
 	return NewOp("sigmoid", out, []*Value{a}, func(g *tensor.Tensor) {
-		dx := tensor.New(out.Shape()...)
+		dx := ar.New(out.Shape()...)
 		od, gd, dd := out.Data(), g.Data(), dx.Data()
 		for i := range dd {
 			s := od[i]
@@ -29,11 +30,12 @@ func Sigmoid(a *Value) *Value {
 // keeps σ(x) for the backward's d/dx [x·σ(x)] = σ(x)(1 + x(1−σ(x))).
 func Swish(a *Value) *Value {
 	in := a.T.Data()
-	out := tensor.New(a.T.Shape()...)
-	sig := make([]float32, len(in))
+	ar := a.arena
+	out := ar.New(a.T.Shape()...)
+	sig := ar.New(a.T.Shape()...).Data()
 	tensor.SwishInto(out.Data(), sig, in)
 	return NewOp("swish", out, []*Value{a}, func(g *tensor.Tensor) {
-		dx := tensor.New(out.Shape()...)
+		dx := ar.New(out.Shape()...)
 		tensor.SwishBackwardInto(dx.Data(), g.Data(), sig, in)
 		a.AccumulateOwned(dx)
 	})
@@ -41,15 +43,17 @@ func Swish(a *Value) *Value {
 
 // ReLU applies max(0, x) element-wise.
 func ReLU(a *Value) *Value {
-	out := tensor.Apply(a.T, func(x float32) float32 {
+	ar := a.arena
+	out := clone(ar, a.T)
+	od := out.Data()
+	for i, x := range od {
 		if x < 0 {
-			return 0
+			od[i] = 0
 		}
-		return x
-	})
+	}
 	in := a.T.Data()
 	return NewOp("relu", out, []*Value{a}, func(g *tensor.Tensor) {
-		dx := tensor.New(out.Shape()...)
+		dx := ar.New(out.Shape()...)
 		gd, dd := g.Data(), dx.Data()
 		for i := range dd {
 			if in[i] > 0 {
@@ -62,13 +66,15 @@ func ReLU(a *Value) *Value {
 
 // --- Convolutions with mixed-precision policy -------------------------------
 
-// maybeBF16 returns t rounded to bfloat16 precision when enabled, else t.
-// Emulates feeding the MXU bf16 operands (paper §3.5).
-func maybeBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
+// MaybeBF16 returns t rounded to bfloat16 precision in a fresh tensor from
+// ar when enabled, else t itself. Emulates feeding the MXU bf16 operands
+// (paper §3.5); the engine's channel-sharded convolutions round their
+// operands through it too.
+func MaybeBF16(ar *tensor.Arena, t *tensor.Tensor, enabled bool) *tensor.Tensor {
 	if !enabled {
 		return t
 	}
-	r := tensor.New(t.Shape()...)
+	r := ar.New(t.Shape()...)
 	bf16.RoundSlice(r.Data(), t.Data())
 	return r
 }
@@ -77,22 +83,25 @@ func maybeBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
 // and weights are rounded to bfloat16 before the kernel runs (forward and
 // backward), emulating the paper's mixed-precision training. Accumulation
 // stays in fp32, as on TPU. Kernel temporaries come from sc (nil = the
-// process-wide arena); engines pass their own so working sets stay separate.
+// process-wide pool); engines pass their own so working sets stay separate.
 func Conv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Scratch) *Value {
-	xc := maybeBF16(x.T, policy.ConvBF16)
-	wc := maybeBF16(w.T, policy.ConvBF16)
-	out := tensor.Conv2DScratch(xc, wc, spec, sc)
+	ar := arenaOf(x, w)
+	xc := MaybeBF16(ar, x.T, policy.ConvBF16)
+	wc := MaybeBF16(ar, w.T, policy.ConvBF16)
+	out := ar.New(spec.OutShape(xc, wc)...)
+	tensor.Conv2DInto(out, xc, wc, spec, sc)
 	return NewOp("conv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
-		gc := maybeBF16(g, policy.ConvBF16)
+		gc := MaybeBF16(ar, g, policy.ConvBF16)
+		dw := ar.New(wc.Shape()...)
 		if !x.requiresGrad {
 			// The stem conv over a Constant batch of images: nobody reads
 			// dx, so skip the Wᵀ@dy GEMM and col2im that would build it.
-			dw := tensor.New(wc.Shape()...)
 			tensor.Conv2DBackwardInto(nil, dw, xc, wc, gc, spec, sc)
 			w.Accumulate(dw)
 			return
 		}
-		dx, dw := tensor.Conv2DBackwardScratch(xc, wc, gc, spec, sc)
+		dx := ar.New(xc.Shape()...)
+		tensor.Conv2DBackwardInto(dx, dw, xc, wc, gc, spec, sc)
 		x.AccumulateOwned(dx)
 		w.Accumulate(dw)
 	})
@@ -101,18 +110,21 @@ func Conv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Sc
 // DepthwiseConv2D applies a depthwise convolution under the same
 // mixed-precision policy as Conv2D.
 func DepthwiseConv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy) *Value {
-	xc := maybeBF16(x.T, policy.ConvBF16)
-	wc := maybeBF16(w.T, policy.ConvBF16)
-	out := tensor.DepthwiseConv2D(xc, wc, spec)
+	ar := arenaOf(x, w)
+	xc := MaybeBF16(ar, x.T, policy.ConvBF16)
+	wc := MaybeBF16(ar, w.T, policy.ConvBF16)
+	out := ar.New(spec.OutShape(xc, wc)...)
+	tensor.DepthwiseConv2DInto(out, xc, wc, spec)
 	return NewOp("dwconv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
-		gc := maybeBF16(g, policy.ConvBF16)
+		gc := MaybeBF16(ar, g, policy.ConvBF16)
+		dw := ar.New(wc.Shape()...)
 		if !x.requiresGrad {
-			dw := tensor.New(wc.Shape()...)
 			tensor.DepthwiseConv2DBackwardInto(nil, dw, xc, wc, gc, spec)
 			w.Accumulate(dw)
 			return
 		}
-		dx, dw := tensor.DepthwiseConv2DBackward(xc, wc, gc, spec)
+		dx := ar.New(xc.Shape()...)
+		tensor.DepthwiseConv2DBackwardInto(dx, dw, xc, wc, gc, spec)
 		x.AccumulateOwned(dx)
 		w.Accumulate(dw)
 	})
@@ -128,7 +140,8 @@ func SoftmaxCrossEntropy(logits *Value, labels []int, smoothing float32) *Value 
 	if len(labels) != n {
 		panic("autograd: SoftmaxCrossEntropy label count mismatch")
 	}
-	probs := tensor.New(n, k)
+	ar := logits.arena
+	probs := ar.New(n, k)
 	var loss float64
 	onVal := 1 - smoothing + smoothing/float32(k)
 	offVal := smoothing / float32(k)
@@ -164,10 +177,10 @@ func SoftmaxCrossEntropy(logits *Value, labels []int, smoothing float32) *Value 
 			}
 		}
 	}
-	out := tensor.FromSlice([]float32{float32(loss / float64(n))}, 1)
+	out := full(ar, float32(loss/float64(n)), 1)
 	return NewOp("softmax_ce", out, []*Value{logits}, func(g *tensor.Tensor) {
 		scale := g.Data()[0] / float32(n)
-		dl := tensor.New(n, k)
+		dl := ar.New(n, k)
 		for i := 0; i < n; i++ {
 			for j := 0; j < k; j++ {
 				target := offVal

@@ -201,14 +201,17 @@ func TestTapeBackwardMatchesValueBackward(t *testing.T) {
 	}
 }
 
-// TestAccumulateOwnedAdoptsThenAdds pins the ownership-transfer contract: a
-// first contribution is adopted (no clone), a later one adds into the adopted
-// tensor and leaves its own argument and every sibling's gradient alone, and
-// a bound gradient still copies into its pinned storage.
+// TestAccumulateOwnedAdoptsThenAdds pins the ownership-transfer contract: an
+// op result adopts a first contribution (no clone), a later one adds into the
+// adopted tensor and leaves its own argument and every sibling's gradient
+// alone, a leaf copies its first contribution onto the heap, and a bound
+// gradient still copies into its pinned storage.
 func TestAccumulateOwnedAdoptsThenAdds(t *testing.T) {
 	vec := func(vs ...float32) *tensor.Tensor { return tensor.FromSlice(vs, len(vs)) }
-	x := Leaf(tensor.New(3), true)
-	sibling := Leaf(tensor.New(3), true)
+	node := func() *Value {
+		return NewOp("node", tensor.New(3), []*Value{Leaf(tensor.New(3), true)}, func(*tensor.Tensor) {})
+	}
+	x, sibling := node(), node()
 
 	first, sib, second := vec(1, 2, 3), vec(10, 20, 30), vec(100, 200, 300)
 	x.AccumulateOwned(first)
@@ -230,6 +233,13 @@ func TestAccumulateOwnedAdoptsThenAdds(t *testing.T) {
 	}
 
 	Constant(tensor.New(3)).AccumulateOwned(vec(1, 1, 1)) // no gradient wanted: a no-op
+
+	leaf := Leaf(tensor.New(3), true)
+	g0 := vec(4, 5, 6)
+	leaf.AccumulateOwned(g0)
+	if leaf.Grad == g0 || leaf.Grad.Data()[2] != 6 {
+		t.Fatalf("a leaf must copy its first contribution, got %v", leaf.Grad.Data())
+	}
 
 	bound := Leaf(tensor.New(3), true)
 	buf := make([]float32, 3)

@@ -43,12 +43,22 @@ type BatchNorm struct {
 	Reducer StatsReducer
 
 	c int
+	// The per-channel float64 statistics of a training forward (sum, sqsum,
+	// mean, variance, invstd) and its backward (s1, s2), held by the layer
+	// so a step allocates none of them; fwdStats and bwdStats are the pairs
+	// each hands the Reducer. A model belongs to one replica, so one
+	// goroutine uses them. The backward reads the forward's invstd, so a
+	// training forward's backward must run before the layer's next training
+	// forward — the engine's micro-batch order; pass enforces it.
+	sum, sqsum, mean, variance, invstd, s1, s2 []float64
+	fwdStats, bwdStats                         [][]float64
+	pass                                       uint64
 }
 
 // NewBatchNorm creates a batch-norm layer for c channels with gamma=1,
 // beta=0, and TF-style defaults (momentum 0.99, eps 1e-3).
 func NewBatchNorm(name string, c int) *BatchNorm {
-	return &BatchNorm{
+	l := &BatchNorm{
 		Gamma:       &Param{Name: name + ".gamma", Value: autograd.Leaf(tensor.Ones(c), true), NoAdapt: true},
 		Beta:        &Param{Name: name + ".beta", Value: autograd.Leaf(tensor.New(c), true), NoAdapt: true},
 		RunningMean: tensor.New(c),
@@ -58,6 +68,12 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 		Reducer:     LocalStats{},
 		c:           c,
 	}
+	for _, v := range []*[]float64{&l.sum, &l.sqsum, &l.mean, &l.variance, &l.invstd, &l.s1, &l.s2} {
+		*v = make([]float64, c)
+	}
+	l.fwdStats = [][]float64{l.sum, l.sqsum}
+	l.bwdStats = [][]float64{l.s1, l.s2}
+	return l
 }
 
 // Params returns gamma and beta.
@@ -77,8 +93,9 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 
 	hw := h * w
 	xd := x.T.Data()
-	sum := make([]float64, c)
-	sqsum := make([]float64, c)
+	sum, sqsum, mean, variance, invstd := l.sum, l.sqsum, l.mean, l.variance, l.invstd
+	clear(sum)
+	clear(sqsum)
 	for nc := 0; nc < n*c; nc++ {
 		ch := nc % c
 		base := nc * hw
@@ -91,11 +108,8 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 		sum[ch] += s
 		sqsum[ch] += sq
 	}
-	m := l.Reducer.ReduceStats(float64(n*hw), sum, sqsum)
+	m := l.Reducer.ReduceStats(float64(n*hw), l.fwdStats...)
 
-	mean := make([]float64, c)
-	invstd := make([]float64, c)
-	variance := make([]float64, c)
 	for ch := 0; ch < c; ch++ {
 		mean[ch] = sum[ch] / m
 		v := sqsum[ch]/m - mean[ch]*mean[ch]
@@ -113,8 +127,9 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 	}
 
 	// Normalize and cache xhat for backward.
-	xhat := tensor.New(x.T.Shape()...)
-	out := tensor.New(x.T.Shape()...)
+	ar := x.Arena()
+	xhat := ar.New(x.T.Shape()...)
+	out := ar.New(x.T.Shape()...)
 	xhd, od := xhat.Data(), out.Data()
 	gd := l.Gamma.Value.T.Data()
 	bd := l.Beta.Value.T.Data()
@@ -126,13 +141,19 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 
 	gamma, beta := l.Gamma.Value, l.Beta.Value
 	reducer := l.Reducer
+	l.pass++
+	pass := l.pass
 	return autograd.NewOp("batchnorm", out, []*autograd.Value{x, gamma, beta}, func(dy *tensor.Tensor) {
+		if l.pass != pass {
+			panic("nn: BatchNorm backward after a later training forward of the same layer")
+		}
 		dyd := dy.Data()
 		// Local per-channel sums of dy and dy*xhat.
-		s1 := make([]float64, c)
-		s2 := make([]float64, c)
-		dgamma := tensor.New(c)
-		dbeta := tensor.New(c)
+		s1, s2 := l.s1, l.s2
+		clear(s1)
+		clear(s2)
+		dgamma := ar.New(c)
+		dbeta := ar.New(c)
 		for nc := 0; nc < n*c; nc++ {
 			ch := nc % c
 			base := nc * hw
@@ -157,8 +178,8 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 		if x.RequiresGrad() {
 			// The dx correction terms need *group* means of dy and
 			// dy*xhat — a second reduction per §3.4's communication cost.
-			reducer.ReduceStats(float64(n*hw), s1, s2)
-			dx := tensor.New(x.T.Shape()...)
+			reducer.ReduceStats(float64(n*hw), l.bwdStats...)
+			dx := ar.New(x.T.Shape()...)
 			dxd := dx.Data()
 			for nc := 0; nc < n*c; nc++ {
 				ch := nc % c
@@ -193,7 +214,8 @@ func (l *BatchNorm) applyRunning(out, x []float32, n, hw int) {
 
 func (l *BatchNorm) evalForward(x *autograd.Value, n, c, h, w int) *autograd.Value {
 	hw := h * w
-	out := tensor.New(x.T.Shape()...)
+	ar := x.Arena()
+	out := ar.New(x.T.Shape()...)
 	xd := x.T.Data()
 	l.applyRunning(out.Data(), xd, n, hw)
 	gamma, beta := l.Gamma.Value, l.Beta.Value
@@ -201,9 +223,9 @@ func (l *BatchNorm) evalForward(x *autograd.Value, n, c, h, w int) *autograd.Val
 	// possible): y = gamma*(x-mu)*is + b with constant statistics.
 	return autograd.NewOp("batchnorm_eval", out, []*autograd.Value{x, gamma, beta}, func(dy *tensor.Tensor) {
 		dyd := dy.Data()
-		dgamma := tensor.New(c)
-		dbeta := tensor.New(c)
-		dx := tensor.New(x.T.Shape()...)
+		dgamma := ar.New(c)
+		dbeta := ar.New(c)
+		dx := ar.New(x.T.Shape()...)
 		dgd, dbd, dxd := dgamma.Data(), dbeta.Data(), dx.Data()
 		gd := gamma.T.Data()
 		for ch := 0; ch < c; ch++ {

@@ -85,8 +85,8 @@ type Ctx struct {
 	// RNG drives dropout and stochastic depth; may be nil in eval mode.
 	RNG *rand.Rand
 	// Scratch supplies kernel temporaries (im2col buffers, GEMM panels).
-	// May be nil, in which case kernels share the process-wide arena; the
-	// replica engine sets a per-engine arena so concurrent engines keep
+	// May be nil, in which case kernels share the process-wide pool; the
+	// replica engine sets a per-engine pool so concurrent engines keep
 	// separate working sets.
 	Scratch *tensor.Scratch
 }
@@ -242,7 +242,7 @@ func (l *Dropout) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 		panic("nn: Dropout in training mode requires ctx.RNG")
 	}
 	keep := float32(1 - l.Rate)
-	mask := tensor.New(x.T.Shape()...)
+	mask := x.Arena().New(x.T.Shape()...) // step memory, as the op's output is
 	for i := range mask.Data() {
 		if ctx.RNG.Float64() >= l.Rate {
 			mask.Data()[i] = 1 / keep
@@ -273,7 +273,7 @@ func (l *DropPath) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 	n := shape[0]
 	rest := x.T.Len() / n
 	keep := float32(1 - l.Rate)
-	mask := tensor.New(shape...)
+	mask := x.Arena().New(shape...)
 	for s := 0; s < n; s++ {
 		var v float32
 		if ctx.RNG.Float64() >= l.Rate {

@@ -23,6 +23,17 @@
 // grad-ready overlap model; Config.NoBackwardOverlap serializes dispatch as
 // a bit-for-bit identical A/B baseline).
 //
+// Step memory comes from a per-replica tensor.Arena. The micro-batch enters
+// the graph as an autograd.LeafIn over the replica's arena, so every op
+// output, backward temporary and activation gradient of the micro-batch
+// (the mesh plan's gathered activations and bf16 copies included) is a
+// pointer bump into a slab the first step sized. The arena is reset, and the
+// tape releases the graph, once the micro-batch's loss and predictions are
+// counted and its batch is recycled; Close drops the arena. Weights, their gradients (bound into the
+// reduction buffer), optimizer slots, EMA shadows and BN running statistics
+// are heap memory, as is everything evaluation and Infer allocate. The
+// statistics batch norm computes per call are held by the layer itself.
+//
 // Distributed batch normalization (§3.4) is wired in by giving every
 // BatchNorm layer a reducer that all-reduces its per-channel statistics
 // across the replica's BN group — through the same Collective interface the

@@ -181,9 +181,9 @@ type Engine struct {
 	// samples holds one reusable per-replica phase-timing sample per rank
 	// (nil when telemetry is off, which disables all timing).
 	samples []telemetry.StepSample
-	// scratch is the engine-owned kernel arena: im2col buffers and GEMM
+	// scratch is the engine-owned kernel pool: im2col buffers and GEMM
 	// packing panels are drawn from it instead of being allocated per conv
-	// call. One arena per engine keeps concurrent engines' working sets
+	// call. One pool per engine keeps concurrent engines' working sets
 	// separate; dropping the engine releases it.
 	scratch *tensor.Scratch
 }
@@ -209,6 +209,14 @@ type Replica struct {
 	gradBuf []float32
 	buckets [][2]int
 	accum   int
+
+	// arena is the replica's step arena: the batch leaf carries it, so every
+	// op output, backward temporary and activation gradient of a
+	// micro-batch comes from it, and trainStep resets it when the
+	// micro-batch is done. Weights, gradients (bound into gradBuf),
+	// optimizer slots, EMA shadows and BN running statistics never live in
+	// it. Nil after Close.
+	arena *tensor.Arena
 
 	// weightBuf holds every parameter's weights in Params() order
 	// (BindWeights), the buffer the refresh all-gather fills. owned is the
@@ -481,6 +489,7 @@ func New(cfg Config) (*Engine, error) {
 			train:     data.NewShard(cfg.Dataset, 0, d, cfg.Mesh.Data),
 			val:       data.NewShard(cfg.Dataset, 1, d, cfg.Mesh.Data),
 			ctx:       &nn.Ctx{Training: true, Precision: cfg.Precision, Scratch: e.scratch},
+			arena:     tensor.NewArena(),
 			gradBuf:   make([]float32, e.gradLen),
 			weightBuf: make([]float32, e.gradLen),
 			owned:     m.Params()[cuts[d]:cuts[d+1]],
@@ -612,15 +621,16 @@ func (e *Engine) ensurePipelines() {
 	}
 }
 
-// Close stops every replica's input pipeline and waits for their producer
-// goroutines to exit. After Close, Step, Evaluate and EvaluateSerial return
-// ErrClosed. Close is idempotent.
+// Close stops every replica's input pipeline, waits for their producer
+// goroutines to exit and drops the replicas' step arenas. After Close,
+// Step, Evaluate and EvaluateSerial return ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.closed = true
 	for _, rep := range e.replicas {
 		if rep.pipe != nil {
 			rep.pipe.Stop()
 		}
+		rep.arena = nil
 	}
 }
 
@@ -790,7 +800,7 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 		r.augDraws = pb.AugDraws
 		sample.Add(telemetry.PhaseDataWait, t0)
 		t0 = sample.Now()
-		x := autograd.Constant(imgs)
+		x := autograd.LeafIn(r.arena, imgs, false)
 		var logits *autograd.Value
 		if r.plan != nil {
 			logits = r.plan.forward(r.ctx, r.Model, x)
@@ -822,6 +832,16 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 		seen += len(labels)
 		// The tape is done with the pixels; let the producer reuse them.
 		r.pipe.Recycle(pb)
+		// Nothing reads this micro-batch's graph again: the parameter
+		// gradients it produced live in gradBuf, the reduction stream reads
+		// only gradBuf, and the loss and predictions are counted above.
+		// Releasing the graph's memory is the backward pass's last act (and,
+		// under go test, Reset's NaN fill is not free), so it is timed as
+		// backward.
+		t0 = sample.Now()
+		r.tape.Release()
+		r.arena.Reset()
+		sample.Add(telemetry.PhaseBackward, t0)
 	}
 	if sample != nil {
 		sample.AddStarved(r.pipe.Starved() - starved0)

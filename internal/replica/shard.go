@@ -18,7 +18,6 @@ package replica
 
 import (
 	"effnetscale/internal/autograd"
-	"effnetscale/internal/bf16"
 	"effnetscale/internal/comm"
 	"effnetscale/internal/efficientnet"
 	"effnetscale/internal/nn"
@@ -97,20 +96,10 @@ func buildShardPlan(m *efficientnet.Model, mIdx, M int, coll comm.Collective) *s
 	return sp
 }
 
-// roundBF16 mirrors the mixed-precision rounding autograd.Conv2D applies, so
-// the sharded conv feeds its kernel the same operand precision.
-func roundBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
-	if !enabled {
-		return t
-	}
-	r := tensor.New(t.Shape()...)
-	bf16.RoundSlice(r.Data(), t.Data())
-	return r
-}
-
 // conv1x1 is the plan's Conv1x1Fn: sharded convs compute only the owned
 // output-channel rows and all-gather the activation across the model axis;
-// everything else runs the plain layer.
+// everything else runs the plain layer. Like every op, it allocates from its
+// input's step arena and rounds its operands as autograd.Conv2D does.
 func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *autograd.Value {
 	sc := sp.convs[l]
 	if sc == nil {
@@ -121,12 +110,14 @@ func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *auto
 	cin := w.Data().Dim(1)
 	csh := sc.hi - sc.lo
 	policy := ctx.Precision
-	xc := roundBF16(x.T, policy.ConvBF16)
+	ar := x.Arena()
+	xc := autograd.MaybeBF16(ar, x.T, policy.ConvBF16)
 	// The owned weight rows are a contiguous span of the [cout,cin,1,1]
 	// layout; FromSlice views them without copying.
 	wRows := tensor.FromSlice(w.Data().Data()[sc.lo*cin:sc.hi*cin], csh, cin, 1, 1)
-	wc := roundBF16(wRows, policy.ConvBF16)
-	local := tensor.Conv2DScratch(xc, wc, l.Spec, ctx.Scratch) // [N, csh, OH, OW]
+	wc := autograd.MaybeBF16(ar, wRows, policy.ConvBF16)
+	local := ar.New(l.Spec.OutShape(xc, wc)...) // [N, csh, OH, OW]
+	tensor.Conv2DInto(local, xc, wc, l.Spec, ctx.Scratch)
 	n, _, oh, ow := local.Dim4()
 	chunk := csh * oh * ow
 
@@ -135,10 +126,10 @@ func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *auto
 	// full [N, cout, OH, OW] activation. Each row of the gather carries a
 	// per-sample contiguous channel block — no strided copies.
 	t0 := sp.sample.Now()
-	gathered := make([]float32, sp.M*n*chunk)
+	gathered := ar.New(sp.M * n * chunk).Data()
 	sp.coll.AllGather(local.Data(), gathered)
 	sp.sample.Add(telemetry.PhaseMPExchange, t0)
-	out := tensor.New(n, cout, oh, ow)
+	out := ar.New(n, cout, oh, ow)
 	for mm := 0; mm < sp.M; mm++ {
 		seg := gathered[mm*n*chunk : (mm+1)*n*chunk]
 		for i := 0; i < n; i++ {
@@ -149,12 +140,13 @@ func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *auto
 	return autograd.NewOp("shardconv1x1", out, []*autograd.Value{x, w.Value}, func(g *tensor.Tensor) {
 		// Backward of the gather is a slice: only the owned channels' grads
 		// drive this rank's kernel backward.
-		gsh := tensor.New(n, csh, oh, ow)
+		gsh := ar.New(n, csh, oh, ow)
 		for i := 0; i < n; i++ {
 			copy(gsh.Data()[i*chunk:(i+1)*chunk], g.Data()[(i*cout+sc.lo)*oh*ow:][:chunk])
 		}
-		gc := roundBF16(gsh, policy.ConvBF16)
-		dx, dwSh := tensor.Conv2DBackwardScratch(xc, wc, gc, l.Spec, ctx.Scratch)
+		gc := autograd.MaybeBF16(ar, gsh, policy.ConvBF16)
+		dx, dwSh := ar.New(xc.Shape()...), ar.New(wc.Shape()...)
+		tensor.Conv2DBackwardInto(dx, dwSh, xc, wc, gc, l.Spec, ctx.Scratch)
 		// dx is partial — each rank saw only its output channels — so the
 		// model axis sums the contributions (the gradient counterpart of the
 		// forward gather).
@@ -165,7 +157,7 @@ func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *auto
 		if w.Value.RequiresGrad() {
 			// Owned rows only; the rest stays zero until exchangeGrads
 			// rebuilds the full gradient after the data-axis reduction.
-			dw := tensor.New(w.Data().Shape()...)
+			dw := ar.New(w.Data().Shape()...)
 			copy(dw.Data()[sc.lo*cin:sc.hi*cin], dwSh.Data())
 			w.Value.Accumulate(dw)
 		}

@@ -82,7 +82,7 @@ func BenchmarkElementwiseAdd1M(b *testing.B) {
 }
 
 // BenchmarkConv measures the steady-state conv kernels through the Into
-// variants with a warm scratch arena — the configuration the training loop
+// variants with a warm scratch pool — the configuration the training loop
 // runs in. ReportAllocs proves the allocs/op = 0 contract that the
 // bench-regression guard enforces. The first five cases are N = 4 over 16×16
 // maps; the rest are pico's own layers at batch 32, whose 1×1, 2×2 and 8×8
@@ -125,7 +125,7 @@ func BenchmarkConv(b *testing.B) {
 					run = func() { Conv2DBackwardInto(dx, dw, x, w, dy, spec, sc) }
 				}
 			}
-			run() // warm the arena
+			run() // warm the pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

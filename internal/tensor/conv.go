@@ -137,16 +137,11 @@ func col2im(dx []float32, col []float32, cin, h, w, kh, kw, oh, ow int, spec Con
 
 // Conv2D computes a standard convolution of x [N,Cin,H,W] with weights
 // w [Cout,Cin,KH,KW] under spec, returning [N,Cout,OH,OW]. Temporaries come
-// from the process-wide default arena; engines with their own Scratch use
-// Conv2DScratch.
+// from the process-wide default pool; engines with their own Scratch use
+// Conv2DInto.
 func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
-	return Conv2DScratch(x, w, spec, nil)
-}
-
-// Conv2DScratch is Conv2D drawing its temporaries from sc (nil = default).
-func Conv2DScratch(x, w *Tensor, spec ConvSpec, sc *Scratch) *Tensor {
 	out := New(spec.OutShape(x, w)...)
-	Conv2DInto(out, x, w, spec, sc)
+	Conv2DInto(out, x, w, spec, nil)
 	return out
 }
 
@@ -168,7 +163,7 @@ func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 	if dn != n || dc != cout || doh != oh || dow != ow {
 		panic(fmt.Sprintf("tensor: Conv2DInto dst shape %v, want %v", dst.shape, []int{n, cout, oh, ow}))
 	}
-	arena := sc.orDefault()
+	pool := sc.orDefault()
 
 	// Parallelize across samples when the batch can feed every worker;
 	// otherwise run samples serially and let the GEMM spread row blocks.
@@ -176,10 +171,10 @@ func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 	// (named function, explicit args) stays allocation-free.
 	if workers := parallel.MaxWorkers(); workers > 1 && n >= workers {
 		parallel.ForChunked(n, 1, func(lo, hi int) {
-			conv2DForwardRange(dst, x, w, spec, arena, false, lo, hi)
+			conv2DForwardRange(dst, x, w, spec, pool, false, lo, hi)
 		})
 	} else {
-		conv2DForwardRange(dst, x, w, spec, arena, true, 0, n)
+		conv2DForwardRange(dst, x, w, spec, pool, true, 0, n)
 	}
 }
 
@@ -191,7 +186,7 @@ func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 // scratch buffer sized to the group. gemmPar spreads the GEMM over row-block
 // workers; callers already fanned out across samples pass false to avoid
 // nested parallelism.
-func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
+func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, pool *Scratch, gemmPar bool, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dst.Dim4()
@@ -202,7 +197,7 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPa
 	group := min(max(1, convFoldCols/ohw), hi-lo)
 	var cp *[]float32
 	if !direct {
-		cp = arena.get(group * ckk * ohw)
+		cp = pool.get(group * ckk * ohw)
 	}
 	for s := lo; s < hi; s += group {
 		cnt := min(group, hi-s)
@@ -214,24 +209,19 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPa
 			}
 		}
 		gemmBatch(dst.data[s*cout*ohw:], cout*ohw, w.data, ckk, false,
-			cols, ohw, false, colStride, cnt, cout, ohw, ckk, false, arena, gemmPar)
+			cols, ohw, false, colStride, cnt, cout, ohw, ckk, false, pool, gemmPar)
 	}
 	if cp != nil {
-		arena.put(cp)
+		pool.put(cp)
 	}
 }
 
 // Conv2DBackward computes the gradients of Conv2D with respect to the input
 // and the weights given the upstream gradient dy [N,Cout,OH,OW].
 func Conv2DBackward(x, w, dy *Tensor, spec ConvSpec) (dx, dw *Tensor) {
-	return Conv2DBackwardScratch(x, w, dy, spec, nil)
-}
-
-// Conv2DBackwardScratch is Conv2DBackward drawing temporaries from sc.
-func Conv2DBackwardScratch(x, w, dy *Tensor, spec ConvSpec, sc *Scratch) (dx, dw *Tensor) {
 	dx = New(x.shape...)
 	dw = New(w.shape...)
-	conv2DBackward(dx, dw, x, w, dy, spec, sc) // fresh tensors are already zero
+	conv2DBackward(dx, dw, x, w, dy, spec, nil) // fresh tensors are already zero
 	return dx, dw
 }
 
@@ -256,14 +246,14 @@ func Conv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 // conv2DBackward accumulates into zeroed dx (nil = skip) and dw.
 func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 	n := x.Dim(0)
-	arena := sc.orDefault()
+	pool := sc.orDefault()
 
 	workers := parallel.MaxWorkers()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		conv2DBackwardRange(dx, dw.data, x, w, dy, spec, arena, false, 0, n)
+		conv2DBackwardRange(dx, dw.data, x, w, dy, spec, pool, false, 0, n)
 		return
 	}
 	// Deterministic parallel reduction: chunk c accumulates into its own
@@ -272,7 +262,7 @@ func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 	chunk := (n + workers - 1) / workers
 	nChunks := (n + chunk - 1) / chunk
 	wlen := len(w.data)
-	pp := arena.getZeroed(nChunks * wlen)
+	pp := pool.getZeroed(nChunks * wlen)
 	partials := *pp
 	parallel.ForChunked(nChunks, 1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
@@ -281,7 +271,7 @@ func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 			if hi > n {
 				hi = n
 			}
-			conv2DBackwardRange(dx, partials[c*wlen:(c+1)*wlen], x, w, dy, spec, arena, false, lo, hi)
+			conv2DBackwardRange(dx, partials[c*wlen:(c+1)*wlen], x, w, dy, spec, pool, false, lo, hi)
 		}
 	})
 	for c := 0; c < nChunks; c++ {
@@ -290,7 +280,7 @@ func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 			dw.data[i] += v
 		}
 	}
-	arena.put(pp)
+	pool.put(pp)
 }
 
 // conv2DBackwardRange accumulates the weight gradient of samples [lo, hi)
@@ -300,7 +290,7 @@ func conv2DBackward(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 // shared operand, and folding its k dimension across samples would change
 // the summation order. A named function so the single-worker path allocates
 // nothing.
-func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
+func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec ConvSpec, pool *Scratch, gemmPar bool, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dy.Dim4()
@@ -311,9 +301,9 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 	group := min(max(1, convFoldCols/ohw), hi-lo)
 	var cp, dcp *[]float32
 	if !direct {
-		cp = arena.get(group * ckk * ohw)
+		cp = pool.get(group * ckk * ohw)
 		if dx != nil {
-			dcp = arena.get(group * ckk * ohw)
+			dcp = pool.get(group * ckk * ohw)
 		}
 	}
 	for s := lo; s < hi; s += group {
@@ -328,7 +318,7 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 		for i := 0; i < cnt; i++ {
 			// dW [Cout,CKK] += dy_s [Cout,OHW] @ cols_sᵀ
 			gemm(dwAcc, dy.data[(s+i)*cout*ohw:], ohw, false, cols[i*colStride:], ohw, true,
-				cout, ckk, ohw, true, arena, gemmPar)
+				cout, ckk, ohw, true, pool, gemmPar)
 		}
 		if dx == nil {
 			continue
@@ -339,7 +329,7 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 			dcols = *dcp
 		}
 		gemmBatch(dcols, colStride, w.data, ckk, true,
-			dy.data[s*cout*ohw:], ohw, false, cout*ohw, cnt, ckk, ohw, cout, false, arena, gemmPar)
+			dy.data[s*cout*ohw:], ohw, false, cout*ohw, cnt, ckk, ohw, cout, false, pool, gemmPar)
 		if !direct {
 			for i := 0; i < cnt; i++ {
 				col2im(dx.data[(s+i)*chw:(s+i+1)*chw], dcols[i*colStride:(i+1)*colStride], cin, h, wd, kh, kw, oh, ow, spec)
@@ -347,9 +337,9 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 		}
 	}
 	if dcp != nil {
-		arena.put(dcp)
+		pool.put(dcp)
 	}
 	if cp != nil {
-		arena.put(cp)
+		pool.put(cp)
 	}
 }

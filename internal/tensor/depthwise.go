@@ -58,24 +58,20 @@ func newDWGeom(h, w, kh, kw, oh, ow int, spec ConvSpec) dwGeom {
 // from w [C,1,KH,KW], returning [N,C,OH,OW]. This is the dominant operator of
 // EfficientNet's MBConv blocks.
 func DepthwiseConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
-	n, c, h, wd := x.Dim4()
-	cw, one, kh, kw := w.Dim4()
-	if cw != c || one != 1 {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2D weight shape %v does not match channels %d", w.shape, c))
-	}
-	oh := outSize(h, kh, spec.StrideH, spec.PadH)
-	ow := outSize(wd, kw, spec.StrideW, spec.PadW)
-	out := New(n, c, oh, ow)
+	out := New(spec.OutShape(x, w)...)
 	DepthwiseConv2DInto(out, x, w, spec)
 	return out
 }
 
 // DepthwiseConv2DInto computes the depthwise convolution into dst, which
-// must have shape spec.OutShape-for-depthwise ([N,C,OH,OW]). It allocates
-// nothing when running single-worker.
+// must have shape spec.OutShape(x, w) ([N,C,OH,OW]). It allocates nothing
+// when running single-worker.
 func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
 	n, c, h, wd := x.Dim4()
-	_, _, kh, kw := w.Dim4()
+	cw, one, kh, kw := w.Dim4()
+	if cw != c || one != 1 {
+		panic(fmt.Sprintf("tensor: DepthwiseConv2D weight shape %v does not match channels %d", w.shape, c))
+	}
 	_, _, oh, ow := dst.Dim4()
 	g := newDWGeom(h, wd, kh, kw, oh, ow, spec)
 	if parallel.MaxWorkers() > 1 {

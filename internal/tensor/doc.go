@@ -96,15 +96,31 @@
 // order, which differs between compilers and architectures); that a lane is
 // NaN is.
 //
-// # Scratch arenas
+// # Scratch pools
 //
 // Kernel temporaries — im2col column matrices (sized to the group of samples
 // one GEMM folds), packing panels, per-worker weight-gradient partials —
-// come from a Scratch arena of size-classed buffer pools rather than make,
-// so the Into variants (Conv2DInto, Conv2DBackwardInto, MatMulInto, ...)
-// allocate nothing in steady state (proved by BenchmarkConv's allocs/op).
-// Passing a nil *Scratch uses a process-wide arena; the replica engine owns
-// one arena per engine and threads it through nn.Ctx.Scratch.
+// come from a Scratch of size-classed buffer pools rather than make, so the
+// Into variants (Conv2DInto, Conv2DBackwardInto, MatMulInto, ...) allocate
+// nothing in steady state (proved by BenchmarkConv's allocs/op). Passing a
+// nil *Scratch uses a process-wide pool; the replica engine owns one pool
+// per engine and threads it through nn.Ctx.Scratch.
+//
+// # The step arena
+//
+// The tensors a training step keeps past one kernel call — op outputs,
+// backward temporaries, activation gradients — come from an Arena: a bump
+// allocator whose New hands out zeroed tensors (data, header and shape) from
+// slabs it owns, and whose Reset takes them all back at once. The first step
+// sizes it: a step that outgrows the slab chains chunks, and Reset merges them
+// into one slab, so every later step allocates by pointer bumps over memory
+// the step before warmed. Hand-outs are zeroed as New zeroes, so a kernel
+// computes the same bits in either; a nil *Arena is the heap. The replica
+// engine owns one arena per replica, hands it to the graph through the batch
+// leaf (autograd.LeafIn) and resets it when a micro-batch's loss, accuracy
+// and input recycling are done. Under go test, Reset first fills the released
+// data with NaN, so a tensor read after its step has ended poisons a loss
+// that a bit-for-bit test then catches.
 //
 // # Correctness and performance harness
 //

@@ -56,27 +56,37 @@ func MatMulInto(dst, a, b *Tensor, accumulate bool) {
 // MatMulTA returns aᵀ @ b for a of shape [K,M] and b of shape [K,N];
 // the result has shape [M,N]. Used by dense-layer weight gradients.
 func MatMulTA(a, b *Tensor) *Tensor {
+	out := New(a.shape[1], b.shape[1])
+	MatMulTAInto(out, a, b)
+	return out
+}
+
+// MatMulTAInto writes aᵀ @ b into dst, which must have shape [M,N].
+func MatMulTAInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTA inner dimension mismatch %v vs %v", a.shape, b.shape))
+	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	out := New(m, n)
-	gemm(out.data, a.data, m, true, b.data, n, false, m, n, k, false, nil, true)
-	return out
+	gemm(dst.data, a.data, m, true, b.data, n, false, m, n, k, false, nil, true)
 }
 
 // MatMulTB returns a @ bᵀ for a of shape [M,K] and b of shape [N,K];
 // the result has shape [M,N]. Used by dense-layer input gradients.
 func MatMulTB(a, b *Tensor) *Tensor {
+	out := New(a.shape[0], b.shape[0])
+	MatMulTBInto(out, a, b)
+	return out
+}
+
+// MatMulTBInto writes a @ bᵀ into dst, which must have shape [M,N].
+func MatMulTBInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTB inner dimension mismatch %v vs %v", a.shape, b.shape))
+	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	out := New(m, n)
-	gemm(out.data, a.data, k, false, b.data, k, true, m, n, k, false, nil, true)
-	return out
+	gemm(dst.data, a.data, k, false, b.data, k, true, m, n, k, false, nil, true)
 }
 
 // gemm computes dst[m,n] (+)= op(A) @ op(B), where op transposes when the
@@ -97,14 +107,14 @@ func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt
 // batch, and samples narrower than gemmNR share micro-tiles instead of each
 // zero-padding one. Every output element is still one ascending-k chain
 // through the same micro-kernels, so its bits do not depend on count.
-// Temporaries come from sc (nil = default arena). When par is set the row
+// Temporaries come from sc (nil = the default pool). When par is set the row
 // blocks of each k-slab run on parallel workers; callers already inside a
 // parallel region pass par=false to avoid nested fan-out.
 func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []float32, ldb int, bt bool, bStride, count, m, n, k int, accumulate bool, sc *Scratch, par bool) {
 	if m <= 0 || n <= 0 || count <= 0 {
 		return
 	}
-	arena := sc.orDefault()
+	pool := sc.orDefault()
 	if !accumulate {
 		for s := 0; s < count; s++ {
 			clear(dst[s*dStride : s*dStride+m*n])
@@ -115,7 +125,7 @@ func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []fl
 	}
 	cols := count * n
 	npad := (cols + gemmNR - 1) / gemmNR * gemmNR
-	bpPtr := arena.get(min(k, gemmKC) * npad)
+	bpPtr := pool.get(min(k, gemmKC) * npad)
 	bp := *bpPtr
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kl := min(k-p0, gemmKC)
@@ -125,13 +135,13 @@ func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []fl
 			// The closure is evaluated only on this branch, so the serial
 			// path below stays allocation-free.
 			parallel.ForChunked(nBlocks, 1, func(blo, bhi int) {
-				gemmRowBlocks(dst, dStride, a, lda, at, bp, arena, m, n, cols, p0, kl, blo, bhi)
+				gemmRowBlocks(dst, dStride, a, lda, at, bp, pool, m, n, cols, p0, kl, blo, bhi)
 			})
 		} else {
-			gemmRowBlocks(dst, dStride, a, lda, at, bp, arena, m, n, cols, p0, kl, 0, nBlocks)
+			gemmRowBlocks(dst, dStride, a, lda, at, bp, pool, m, n, cols, p0, kl, 0, nBlocks)
 		}
 	}
-	arena.put(bpPtr)
+	pool.put(bpPtr)
 }
 
 // gemmRowBlocks processes row blocks [blo, bhi) of one k-slab: pack each
@@ -139,8 +149,8 @@ func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []fl
 // slab bp, whose cols columns are the batch's samples side by side, n each.
 // A named function (not a closure) so the serial gemm path performs no
 // per-call allocations.
-func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, bp []float32, arena *Scratch, m, n, cols, p0, kl, blo, bhi int) {
-	apPtr := arena.get(gemmMC * gemmKC)
+func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, bp []float32, pool *Scratch, m, n, cols, p0, kl, blo, bhi int) {
+	apPtr := pool.get(gemmMC * gemmKC)
 	ap := *apPtr
 	for bi := blo; bi < bhi; bi++ {
 		i0 := bi * gemmMC
@@ -178,7 +188,7 @@ func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, bp
 			}
 		}
 	}
-	arena.put(apPtr)
+	pool.put(apPtr)
 }
 
 // microTile computes one (possibly ragged) output tile. With FMA support,

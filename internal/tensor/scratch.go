@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Scratch is a reusable arena of float32 buffers for kernel temporaries:
+// Scratch is a reusable pool of float32 buffers for kernel temporaries:
 // im2col column matrices, packed GEMM panels, strided 1×1-conv gathers and
 // per-worker weight-gradient partials. Kernels that accept a *Scratch draw
 // every temporary from it instead of calling make, so a steady-state
@@ -18,16 +18,18 @@ import (
 //
 // A Scratch is safe for concurrent use: each size class is a sync.Pool, so
 // parallel kernel workers check out their own buffers. Passing nil to any
-// kernel falls back to a process-wide default arena. The replica engine
+// kernel falls back to a process-wide default pool. The replica engine
 // owns one Scratch per engine and threads it through nn.Ctx so concurrent
 // engines (train + serve in one process) keep separate working sets;
-// dropping the engine releases the arena to the garbage collector.
+// dropping the engine releases the pool to the garbage collector. (A
+// Scratch lends buffers for the length of one kernel call; the tensors a
+// step keeps come from an Arena.)
 type Scratch struct {
 	classes [33]sync.Pool // classes[b] holds buffers with cap >= 1<<b
 }
 
-// NewScratch returns an empty arena. Buffers are created on demand and
-// sized to their class, so the arena's footprint is the high-water mark
+// NewScratch returns an empty pool. Buffers are created on demand and
+// sized to their class, so the pool's footprint is the high-water mark
 // of the kernels that borrow from it (rounded up to powers of two).
 func NewScratch() *Scratch {
 	return &Scratch{}

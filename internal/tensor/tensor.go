@@ -29,7 +29,7 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float32, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), dims(shape), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
@@ -64,6 +64,11 @@ func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	return t
 }
 
+// dims copies a variadic shape or index for a panic message. Formatting the
+// copy keeps the argument itself from escaping, so a caller's dimensions stay
+// on its stack instead of costing an allocation per call.
+func dims(s []int) []int { return append([]int(nil), s...) }
+
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -71,7 +76,7 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", dims(shape)))
 		}
 		n *= d
 	}
@@ -107,7 +112,7 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", dims(idx), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}
@@ -134,7 +139,7 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), dims(shape), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
@@ -184,44 +189,53 @@ func (t *Tensor) String() string {
 // heap allocation (and an indirect call per chunk or row) that a one-proc
 // step or request would pay on every call.
 
-// binary applies op element-wise into a fresh tensor.
-func binary(op string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
+// binary applies op element-wise into dst, which may alias a or b.
+func binary(op string, dst, a, b *Tensor, f func(x, y float32) float32) {
 	assertSameShape(op, a, b)
-	out := New(a.shape...)
-	ad, bd, od := a.data, b.data, out.data
+	assertSameShape(op, dst, a)
+	ad, bd, od := a.data, b.data, dst.data
 	if parallel.MaxWorkers() == 1 {
 		for i := range od {
 			od[i] = f(ad[i], bd[i])
 		}
-		return out
+		return
 	}
 	parallel.ForChunked(len(ad), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = f(ad[i], bd[i])
 		}
 	})
+}
+
+func add(x, y float32) float32 { return x + y }
+func sub(x, y float32) float32 { return x - y }
+func mul(x, y float32) float32 { return x * y }
+func div(x, y float32) float32 { return x / y }
+
+// binaryNew applies op element-wise into a fresh tensor.
+func binaryNew(op string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
+	out := New(a.shape...)
+	binary(op, out, a, b, f)
 	return out
 }
 
 // Add returns a + b element-wise.
-func Add(a, b *Tensor) *Tensor {
-	return binary("Add", a, b, func(x, y float32) float32 { return x + y })
-}
+func Add(a, b *Tensor) *Tensor { return binaryNew("Add", a, b, add) }
 
 // Sub returns a - b element-wise.
-func Sub(a, b *Tensor) *Tensor {
-	return binary("Sub", a, b, func(x, y float32) float32 { return x - y })
-}
+func Sub(a, b *Tensor) *Tensor { return binaryNew("Sub", a, b, sub) }
+
+// SubInto writes a - b into dst, which may alias a or b.
+func SubInto(dst, a, b *Tensor) { binary("SubInto", dst, a, b, sub) }
 
 // Mul returns a * b element-wise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	return binary("Mul", a, b, func(x, y float32) float32 { return x * y })
-}
+func Mul(a, b *Tensor) *Tensor { return binaryNew("Mul", a, b, mul) }
+
+// MulInto writes a * b into dst, which may alias a or b.
+func MulInto(dst, a, b *Tensor) { binary("MulInto", dst, a, b, mul) }
 
 // Div returns a / b element-wise.
-func Div(a, b *Tensor) *Tensor {
-	return binary("Div", a, b, func(x, y float32) float32 { return x / y })
-}
+func Div(a, b *Tensor) *Tensor { return binaryNew("Div", a, b, div) }
 
 // AddInto accumulates src into dst (dst += src).
 func AddInto(dst, src *Tensor) {
@@ -284,6 +298,12 @@ func AxpyInto(dst *Tensor, alpha float32, src *Tensor) {
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
 	out := New(a.shape...)
 	ad, od := a.data, out.data
+	if parallel.MaxWorkers() == 1 {
+		for i := range od {
+			od[i] = f(ad[i])
+		}
+		return out
+	}
 	parallel.ForChunked(len(ad), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = f(ad[i])
@@ -344,22 +364,29 @@ func (t *Tensor) MaxAbs() float32 {
 
 // AddChannel adds per-channel bias b (shape [C]) to x (shape [N,C,H,W]).
 func AddChannel(x, b *Tensor) *Tensor {
+	out := New(x.shape...)
+	AddChannelInto(out, x, b)
+	return out
+}
+
+// AddChannelInto is AddChannel writing into dst, which must have x's shape
+// and may be x itself.
+func AddChannelInto(dst, x, b *Tensor) {
 	n, c, h, w := x.Dim4()
 	if b.Rank() != 1 || b.Dim(0) != c {
 		panic(fmt.Sprintf("tensor: AddChannel bias shape %v does not match channels %d", b.shape, c))
 	}
-	out := New(x.shape...)
+	assertSameShape("AddChannelInto", dst, x)
 	hw := h * w
 	if parallel.MaxWorkers() == 1 {
 		for nc := 0; nc < n*c; nc++ {
-			addChannelRow(out.data, x.data, b.data[nc%c], nc*hw, hw)
+			addChannelRow(dst.data, x.data, b.data[nc%c], nc*hw, hw)
 		}
-		return out
+		return
 	}
 	parallel.For(n*c, func(nc int) {
-		addChannelRow(out.data, x.data, b.data[nc%c], nc*hw, hw)
+		addChannelRow(dst.data, x.data, b.data[nc%c], nc*hw, hw)
 	})
-	return out
 }
 
 func addChannelRow(out, x []float32, bias float32, base, hw int) {
@@ -404,19 +431,29 @@ func mulChannelRow(out, x []float32, scale float32, base, hw int) {
 
 // SumChannelNC reduces x (shape [N,C,H,W]) over H and W into shape [N,C].
 func SumChannelNC(x *Tensor) *Tensor {
-	n, c, h, w := x.Dim4()
+	n, c, _, _ := x.Dim4()
 	out := New(n, c)
+	SumChannelNCInto(out, x)
+	return out
+}
+
+// SumChannelNCInto is SumChannelNC writing into dst, which must have n·c
+// elements.
+func SumChannelNCInto(dst, x *Tensor) {
+	n, c, h, w := x.Dim4()
+	if len(dst.data) != n*c {
+		panic(fmt.Sprintf("tensor: SumChannelNCInto dst shape %v, want [%d,%d]", dst.shape, n, c))
+	}
 	hw := h * w
 	if parallel.MaxWorkers() == 1 {
 		for nc := 0; nc < n*c; nc++ {
-			out.data[nc] = sumRow(x.data[nc*hw : (nc+1)*hw])
+			dst.data[nc] = sumRow(x.data[nc*hw : (nc+1)*hw])
 		}
-		return out
+		return
 	}
 	parallel.For(n*c, func(nc int) {
-		out.data[nc] = sumRow(x.data[nc*hw : (nc+1)*hw])
+		dst.data[nc] = sumRow(x.data[nc*hw : (nc+1)*hw])
 	})
-	return out
 }
 
 // sumRow sums one (sample, channel) row in float64.

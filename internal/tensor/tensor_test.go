@@ -10,6 +10,26 @@ import (
 	"effnetscale/internal/parallel"
 )
 
+// sink keeps the tensors an allocation count measures escaping, as a
+// caller's would.
+var sink *Tensor
+
+// TestApplyOneWorkerAllocatesOnlyItsResult: with one worker Apply runs its
+// plain loop, as every element-wise kernel does, instead of building the
+// closure parallel.ForChunked needs on each call.
+func TestApplyOneWorkerAllocatesOnlyItsResult(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	x := Full(-1, 4096)
+	relu := func(v float32) float32 { return max(v, 0) }
+	want := testing.AllocsPerRun(10, func() { sink = New(x.Shape()...) })
+	if got := testing.AllocsPerRun(10, func() { sink = Apply(x, relu) }); got != want {
+		t.Fatalf("Apply on one worker: %v allocations, want %v (its result alone)", got, want)
+	}
+	if sink.Data()[0] != 0 {
+		t.Fatalf("Apply(relu) of -1 = %v", sink.Data()[0])
+	}
+}
+
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
