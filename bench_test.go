@@ -667,8 +667,9 @@ func BenchmarkStep(b *testing.B) {
 // BenchmarkEvalForward is the before/after for the inference-mode forward
 // split: "tape" is what replica.Evaluate used to run (an eval-mode autograd
 // forward, paying tape-node and gradient-buffer allocations it never uses),
-// "infer" is the tape-free Model.Infer path Evaluate now runs. Both compute
-// bit-identical logits (asserted by TestModelInferMatchesEvalForward), so
+// "infer" is what Evaluate now runs: the model frozen once
+// (efficientnet.Freeze), then one Plan.Infer per batch in one workspace. Both
+// compute bit-identical logits (asserted by TestPlanMatchesEvalForward), so
 // the delta is pure bookkeeping cost.
 func BenchmarkEvalForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
@@ -686,9 +687,10 @@ func BenchmarkEvalForward(b *testing.B) {
 		b.ReportMetric(batch*float64(b.N)/b.Elapsed().Seconds(), "img/s")
 	})
 	b.Run("infer", func(b *testing.B) {
+		p, ws := efficientnet.Freeze(m, bf16.FP32Policy), efficientnet.NewWorkspace()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.Infer(bf16.FP32Policy, x)
+			p.Infer(ws, x)
 		}
 		b.ReportMetric(batch*float64(b.N)/b.Elapsed().Seconds(), "img/s")
 	})

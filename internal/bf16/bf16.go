@@ -68,28 +68,34 @@ func Round(f float32) float32 {
 // RoundSlice rounds every element of src to bfloat16 precision, writing into
 // dst (which may alias src). Lengths must match. The inner loop is unrolled
 // four wide over the pure bit-level rounding formula; only NaNs take the
-// branchy path.
+// branchy path. One worker, or a slice one chunk long, takes the loop
+// directly, without the closure a fan-out needs.
 func RoundSlice(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("bf16: RoundSlice length mismatch")
 	}
-	parallel.ForChunked(len(src), 2048, func(lo, hi int) {
-		d, s := dst[lo:hi], src[lo:hi:hi]
-		i := 0
-		for ; i+4 <= len(s); i += 4 {
-			b0 := math.Float32bits(s[i])
-			b1 := math.Float32bits(s[i+1])
-			b2 := math.Float32bits(s[i+2])
-			b3 := math.Float32bits(s[i+3])
-			d[i] = math.Float32frombits(roundBits(b0))
-			d[i+1] = math.Float32frombits(roundBits(b1))
-			d[i+2] = math.Float32frombits(roundBits(b2))
-			d[i+3] = math.Float32frombits(roundBits(b3))
-		}
-		for ; i < len(s); i++ {
-			d[i] = math.Float32frombits(roundBits(math.Float32bits(s[i])))
-		}
-	})
+	if parallel.MaxWorkers() == 1 || len(src) <= 2048 {
+		roundRange(dst, src)
+		return
+	}
+	parallel.ForChunked(len(src), 2048, func(lo, hi int) { roundRange(dst[lo:hi], src[lo:hi:hi]) })
+}
+
+func roundRange(d, s []float32) {
+	i := 0
+	for ; i+4 <= len(s); i += 4 {
+		b0 := math.Float32bits(s[i])
+		b1 := math.Float32bits(s[i+1])
+		b2 := math.Float32bits(s[i+2])
+		b3 := math.Float32bits(s[i+3])
+		d[i] = math.Float32frombits(roundBits(b0))
+		d[i+1] = math.Float32frombits(roundBits(b1))
+		d[i+2] = math.Float32frombits(roundBits(b2))
+		d[i+3] = math.Float32frombits(roundBits(b3))
+	}
+	for ; i < len(s); i++ {
+		d[i] = math.Float32frombits(roundBits(math.Float32bits(s[i])))
+	}
 }
 
 // PackSlice converts src to bfloat16 storage (round-to-nearest-even),

@@ -10,16 +10,23 @@
 // resolution-agnostic); Model exposes Params for the optimizers and
 // BatchNorms for distributed-BN wiring. Model state serializes through
 // checkpoint.ModelState.
-// Model.Infer is the tape-free forward (the nn inference split end to end:
-// running-stats BN, no dropout/drop-connect, no autograd allocations) —
-// the path evaluation strategies score on and internal/serve batches over;
-// it matches Forward with Training=false bit for bit
-// (TestModelInferMatchesEvalForward). Infer allocates one tensor per
-// convolution and applies batch norm, Swish, the SE gate and the residual
-// add to it in place; it may overwrite only those tensors of its own —
-// never the caller's input, never a block's residual input, never model
-// state (TestInferLeavesInputUntouched) — which is what keeps it safe for
-// concurrent use over shared request and evaluation batches.
+// Freeze lowers a Model to an immutable Plan, the one inference path:
+// replica evaluation freezes once per evaluation (after any EMA swap) and
+// internal/serve once per model generation. The plan rounds (under bf16) and
+// packs every convolution's weights into the GEMM's A panels and every dense
+// layer's into B panels once, reduces each batch norm to its running-statistics
+// scalars once, and drops dropout and drop-connect. Plan.Infer runs the fixed
+// step list in a per-goroutine Workspace, whose activation buffers are laid
+// out by liveness over the step order (interval allocation: a buffer whose
+// last reader has run hands its memory on), grown to the largest batch seen,
+// and never cleared, since every step overwrites what it defines. Its logits
+// match Forward with Training=false bit for bit (TestPlanMatchesEvalForward);
+// it writes only its workspace — never the caller's input, never a block's
+// residual input, never model state (TestInferLeavesInputUntouched).
+// Plan.Release and Workspace.Release hand their storage to the next Freeze or
+// NewWorkspace, so a warm freeze repacks into memory it already owns.
+// Model.Infer lowers and runs once for callers that hold no plan, reading the
+// fp32 weights in place, as the per-call kernels always did.
 //
 // Paper: §2 describes the EfficientNet workload whose scaling limits the
 // paper explores; Table 1/2 train B2 and B5.

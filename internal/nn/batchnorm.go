@@ -192,8 +192,8 @@ func (l *BatchNorm) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
 	})
 }
 
-// runningInvStd is channel ch's inference-time 1/sqrt(var+eps).
-func (l *BatchNorm) runningInvStd(ch int) float32 {
+// RunningInvStd is channel ch's inference-time 1/sqrt(var+eps).
+func (l *BatchNorm) RunningInvStd(ch int) float32 {
 	return float32(1 / math.Sqrt(float64(l.RunningVar.Data()[ch])+l.Eps))
 }
 
@@ -204,7 +204,7 @@ func (l *BatchNorm) applyRunning(out, x []float32, n, hw int) {
 	gd, bd := l.Gamma.Value.T.Data(), l.Beta.Value.T.Data()
 	mu := l.RunningMean.Data()
 	for ch := 0; ch < l.c; ch++ {
-		is := l.runningInvStd(ch)
+		is := l.RunningInvStd(ch)
 		for s := 0; s < n; s++ {
 			lo := (s*l.c + ch) * hw
 			tensor.BNInferInto(out[lo:lo+hw], x[lo:lo+hw], mu[ch], is, gd[ch], bd[ch])
@@ -229,7 +229,7 @@ func (l *BatchNorm) evalForward(x *autograd.Value, n, c, h, w int) *autograd.Val
 		dgd, dbd, dxd := dgamma.Data(), dbeta.Data(), dx.Data()
 		gd := gamma.T.Data()
 		for ch := 0; ch < c; ch++ {
-			is := l.runningInvStd(ch)
+			is := l.RunningInvStd(ch)
 			mu := l.RunningMean.Data()[ch]
 			for s := 0; s < n; s++ {
 				base := (s*c + ch) * hw

@@ -11,14 +11,14 @@
 // across its BN group, and CollectiveStats adapts any comm.Collective into
 // that seam.
 //
-// The inference split: every Layer has both Forward (autograd tape, the
-// training path) and Infer (plain tensors, no tape — batch norm reads its
-// running statistics, dropout and drop-connect are identity). The two paths
-// share the same weights and the same math — activations and batch norm's
-// apply passes run the same tensor element-wise kernels on both — asserted
-// bit-for-bit against Forward-with-Training=false by the parity tests; Infer
-// exists so evaluation and serving pay no tape allocations. New layers must
-// implement both methods or the compiler rejects them.
+// Layers have one forward, on the autograd tape. Inference does not call
+// them: efficientnet.Freeze lowers a model's layers into a plan of packed
+// weights and per-channel scalars, and Forward with Training=false (batch
+// norm on its running statistics, dropout and drop-connect identity) is the
+// reference that plan is held to bit for bit. BatchNorm.RunningInvStd is the
+// one definition of the running-statistics scale both use; the per-layer
+// parity tests (infer_test.go) hold each layer's frozen form to its eval
+// forward through the same tensor kernels the plan calls.
 //
 // Paper: §3.4 — distributed batch normalization over replica groups, the
 // accuracy-critical ingredient for very large global batches.

@@ -178,13 +178,10 @@ func (l *Dense) Params() []*Param { return []*Param{l.W, l.B} }
 
 // --- Activations and containers ---------------------------------------------
 
-// Activation wraps a stateless element-wise function as a Layer. F is the
-// differentiable tape form; TF is its tensor-level twin for the tape-free
-// inference path (see Inferer), set by the package constructors.
+// Activation wraps a stateless element-wise function F as a Layer.
 type Activation struct {
 	Name string
 	F    func(*autograd.Value) *autograd.Value
-	TF   func(*tensor.Tensor) *tensor.Tensor
 }
 
 // Forward applies the activation.
@@ -195,12 +192,12 @@ func (l *Activation) Params() []*Param { return nil }
 
 // SwishLayer returns EfficientNet's swish activation as a Layer.
 func SwishLayer() *Activation {
-	return &Activation{Name: "swish", F: autograd.Swish, TF: SwishTensor}
+	return &Activation{Name: "swish", F: autograd.Swish}
 }
 
 // ReLULayer returns a ReLU activation Layer.
 func ReLULayer() *Activation {
-	return &Activation{Name: "relu", F: autograd.ReLU, TF: ReLUTensor}
+	return &Activation{Name: "relu", F: autograd.ReLU}
 }
 
 // Sequential chains layers.

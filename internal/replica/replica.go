@@ -1013,14 +1013,18 @@ func (r *Replica) scoreShard(shard *data.Shard, n int) (correct, total int) {
 		panic("replica: evaluation pipeline: " + err.Error())
 	}
 	defer p.Stop()
+	// Evaluation runs on the model frozen once per evaluation (after any EMA
+	// swap): BN on running statistics, regularizers off, weights packed once,
+	// activations in one workspace for every batch.
+	plan, ws := efficientnet.Freeze(r.Model, r.ctx.Precision), efficientnet.NewWorkspace()
+	defer plan.Release()
+	defer ws.Release()
 	for {
 		b, ok := p.Next()
 		if !ok {
 			return correct, total
 		}
-		// Evaluation runs on the tape-free inference forward: BN on running
-		// stats, regularizers off, no autograd allocations.
-		pred := autograd.Argmax(r.Model.Infer(r.ctx.Precision, b.Images))
+		pred := autograd.Argmax(plan.Infer(ws, b.Images))
 		for i := 0; i < b.N; i++ {
 			if pred[i] == b.Labels[i] {
 				correct++

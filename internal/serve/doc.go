@@ -4,7 +4,11 @@
 // on this hardware comes from amortizing per-forward fixed costs (and, on
 // multi-core hosts, engaging the batch-parallel convolution kernels) over
 // coalesced batches, so the server gathers concurrent Predict calls into one
-// tape-free Model.Infer pass.
+// pass of a frozen efficientnet.Plan. The workers share one plan per model
+// generation — a generation's first batch runs Model.Infer, which packs
+// nothing, and its second freezes the model, so weights are rounded and
+// packed once per load, not once per batch — and each runs it in a
+// Workspace of its own.
 //
 // The seams:
 //

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"effnetscale/internal/bf16"
 	"effnetscale/internal/checkpoint"
 	"effnetscale/internal/efficientnet"
+	"effnetscale/internal/tensor"
 )
 
 // writeSnapshot captures m's model state into dir under the training
@@ -255,6 +257,85 @@ func TestLoaderRejectsGeometryChange(t *testing.T) {
 	}
 	if _, err := b.Predict(testPixels(b.SampleLen(), 1)); err != nil {
 		t.Errorf("predict after rejected reload: %v", err)
+	}
+}
+
+// TestPlanPerGenerationUnderLoaderSwap: two workers share one frozen plan per
+// model generation, each running it in its own workspace. Across a hot reload
+// every reply is bit for bit the direct Model.Infer of the generation its tag
+// names, and once the swap has happened the new generation answers. Run
+// under -race.
+func TestPlanPerGenerationUnderLoaderSwap(t *testing.T) {
+	dir := t.TempDir()
+	const v1, v2 = "step-000000001.ckpt", "step-000000002.ckpt"
+	gens := map[string]*efficientnet.Model{v1: testModel(t, 1, 4, 16), v2: testModel(t, 2, 4, 16)}
+	writeSnapshot(t, dir, 1, gens[v1])
+	swapped := make(chan string, 1)
+	l, err := NewLoader(LoaderConfig{SnapshotDir: dir, Poll: 5 * time.Millisecond, OnSwap: func(tag string) { swapped <- tag }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	b, err := NewBatcher(Config{Provider: l, MaxBatch: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	pool := make([][]float32, 4)
+	want := map[string][][]float32{}
+	for i := range pool {
+		pool[i] = testPixels(b.SampleLen(), int64(200+i))
+		for tag, m := range gens {
+			want[tag] = append(want[tag], m.Infer(bf16.FP32Policy, tensor.FromSlice(pool[i], 1, 3, 16, 16)).Data())
+		}
+	}
+	// check predicts image i and reports the tag that answered, and whether
+	// the logits are that generation's.
+	check := func(i int) (string, bool) {
+		p, err := b.Predict(pool[i])
+		if err != nil {
+			t.Errorf("predict: %v", err)
+			return "", false
+		}
+		if w, ok := want[p.Model]; !ok || !sameLogits(p.Logits, w[i]) {
+			t.Errorf("image %d tagged %q: logits differ from that generation's Model.Infer", i, p.Model)
+			return p.Model, false
+		}
+		return p.Model, true
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2*len(pool); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, ok := check(g % len(pool)); !ok {
+					return
+				}
+			}
+		}(g)
+	}
+	writeSnapshot(t, dir, 2, gens[v2])
+	timeout := time.After(10 * time.Second)
+	select {
+	case <-swapped:
+	case <-timeout:
+	}
+	close(stop)
+	wg.Wait()
+	if l.Reloads() != 1 {
+		t.Fatal("hot reload never happened")
+	}
+	for i := range pool {
+		if tag, _ := check(i); tag != v2 {
+			t.Errorf("after the swap image %d was served by %q", i, tag)
+		}
 	}
 }
 

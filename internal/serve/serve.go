@@ -21,13 +21,17 @@ var (
 	// ErrOverloaded reports load shedding: the request queue was full. The
 	// caller should back off; the server stays healthy.
 	ErrOverloaded = errors.New("serve: request queue full")
+	// ErrNoModel reports that the provider had no current model: at
+	// NewBatcher, or for every request of a batch when Current returned nil.
+	ErrNoModel = errors.New("serve: provider has no current model")
 )
 
 // ModelProvider yields the model a batch runs on. Current is called once per
 // coalesced batch, so a swap between batches takes effect immediately while
-// a batch already dispatched finishes on the model it captured. The returned
-// model must be safe for concurrent tape-free reads (nothing may mutate its
-// parameters or BN statistics while it is current or in flight).
+// a batch already dispatched finishes on the model it captured. The Batcher
+// freezes each model it is handed once (efficientnet.Freeze) and keeps that
+// plan while Current returns the same pointer, so a provider hands out a
+// fresh model for new weights and never mutates one it has returned.
 type ModelProvider interface {
 	// Current returns the model and a human-readable version tag
 	// (checkpoint file name, snapshot step) stamped into predictions.
@@ -63,8 +67,9 @@ type Config struct {
 	// sheds load with ErrOverloaded. Defaults to 4×MaxBatch (min 16).
 	QueueCap int
 	// Precision is the inference mixed-precision policy. The zero value is
-	// full fp32 — unlike training, serving defaults to fp32 because the
-	// bf16 emulation's per-call operand rounding is pure overhead off-TPU.
+	// full fp32. Under a bf16 policy the weights are rounded once, when a
+	// model is frozen; only the activations entering each convolution are
+	// rounded per call, which off-TPU is pure overhead.
 	Precision bf16.Policy
 	// Sinks receive a BatchRecord per completed batch, after the requests
 	// are answered. The Batcher closes them on Close.
@@ -119,6 +124,13 @@ type Batcher struct {
 	pool  *data.BufferPool
 	stats *Stats
 	sinks []Sink
+
+	// The plan of the model generation the workers last ran, shared by them
+	// and rebuilt when the provider hands out another model; seen is the
+	// last model that has served its first batch.
+	planMu          sync.Mutex
+	planModel, seen *efficientnet.Model
+	plan            *efficientnet.Plan
 }
 
 // NewBatcher validates cfg, applies defaults, and starts the worker
@@ -150,7 +162,7 @@ func NewBatcher(cfg Config) (*Batcher, error) {
 	}
 	m, _ := cfg.Provider.Current()
 	if m == nil {
-		return nil, fmt.Errorf("serve: provider has no current model")
+		return nil, ErrNoModel
 	}
 	res := m.Config.Resolution
 	b := &Batcher{
@@ -217,17 +229,20 @@ func (b *Batcher) Predict(pixels []float32) (Prediction, error) {
 // worker's backlog becomes its next batch. When the queue runs dry before
 // the batch is full, the worker yields once and takes what arrived: callers
 // that are runnable but have not yet run (on one proc, every other caller)
-// get to enqueue first, instead of the worker starving its own batch.
+// get to enqueue first, instead of the worker starving its own batch. Each
+// worker runs its forwards in a workspace of its own.
 func (b *Batcher) worker() {
 	defer b.workers.Done()
 	reqs := make([]*request, 0, b.cfg.MaxBatch)
+	ws := efficientnet.NewWorkspace()
+	defer ws.Release()
 	for r := range b.queue {
 		reqs = b.take(append(reqs[:0], r))
 		if len(reqs) < b.cfg.MaxBatch {
 			runtime.Gosched()
 			reqs = b.take(reqs)
 		}
-		b.runBatch(reqs)
+		b.runBatch(reqs, ws)
 	}
 }
 
@@ -248,12 +263,30 @@ func (b *Batcher) take(reqs []*request) []*request {
 	return reqs
 }
 
+// planFor returns the frozen plan of m, or nil for the first batch m serves.
+// That batch runs Model.Infer, which packs nothing, so the first reply after
+// a boot or a reload does not wait for the weights to be packed; the next
+// batch freezes m once for the rest of the generation.
+func (b *Batcher) planFor(m *efficientnet.Model) *efficientnet.Plan {
+	b.planMu.Lock()
+	defer b.planMu.Unlock()
+	switch m {
+	case b.planModel:
+		return b.plan
+	case b.seen:
+		b.planModel, b.plan = m, efficientnet.Freeze(m, b.cfg.Precision)
+		return b.plan
+	}
+	b.seen = m
+	return nil
+}
+
 // runBatch copies the requests into a pooled input tensor, captures the
-// provider's current model, runs one tape-free forward, and answers every
-// request. A model swap between batches is invisible here: the pointer is
-// read once, so in-flight requests always finish on the weights they
-// started with.
-func (b *Batcher) runBatch(reqs []*request) {
+// provider's current model, runs its frozen plan once in the worker's
+// workspace, and answers every request. A model swap between batches is
+// invisible here: the pointer is read once, so in-flight requests always
+// finish on the weights they started with.
+func (b *Batcher) runBatch(reqs []*request, ws *efficientnet.Workspace) {
 	buf := b.pool.Get(nil)
 	defer b.pool.Put(buf)
 	n := len(reqs)
@@ -261,9 +294,15 @@ func (b *Batcher) runBatch(reqs []*request) {
 		copy(buf.Images.Data()[i*b.sampleLen:(i+1)*b.sampleLen], r.pixels)
 	}
 	m, tag := b.cfg.Provider.Current()
-	if m.Config.Resolution != b.res || m.Config.NumClasses != b.classes {
-		err := fmt.Errorf("serve: current model %q is %d classes @ res %d, batcher built for %d @ %d",
+	var err error
+	switch {
+	case m == nil:
+		err = ErrNoModel
+	case m.Config.Resolution != b.res || m.Config.NumClasses != b.classes:
+		err = fmt.Errorf("serve: current model %q is %d classes @ res %d, batcher built for %d @ %d",
 			tag, m.Config.NumClasses, m.Config.Resolution, b.classes, b.res)
+	}
+	if err != nil {
 		for _, r := range reqs {
 			r.resp <- result{err: err}
 		}
@@ -276,7 +315,12 @@ func (b *Batcher) runBatch(reqs []*request) {
 		view = tensor.FromSlice(buf.Images.Data()[:n*b.sampleLen], n, 3, b.res, b.res)
 	}
 	t0 := time.Now()
-	logits := m.Infer(b.cfg.Precision, view)
+	var logits *tensor.Tensor
+	if p := b.planFor(m); p != nil {
+		logits = p.Infer(ws, view)
+	} else {
+		logits = m.Infer(b.cfg.Precision, view)
+	}
 	inferWall := time.Since(t0)
 	preds := autograd.Argmax(logits)
 	k := logits.Dim(1)
@@ -322,6 +366,10 @@ func (b *Batcher) Close() error {
 		close(b.queue)
 		b.mu.Unlock()
 		b.workers.Wait()
+		if b.plan != nil {
+			b.plan.Release() // every worker has exited: nothing runs it any more
+			b.plan, b.planModel = nil, nil
+		}
 		for _, s := range b.sinks {
 			if err := s.Close(); err != nil && b.closeErr == nil {
 				b.closeErr = err

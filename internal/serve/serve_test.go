@@ -194,6 +194,39 @@ func (g *gatedProvider) Current() (*efficientnet.Model, string) {
 	return g.Static.Current()
 }
 
+// vanishingProvider hands its model to NewBatcher and nil to every batch
+// after: a provider whose model went away while the server was up.
+type vanishingProvider struct {
+	m     *efficientnet.Model
+	calls atomic.Int64
+}
+
+func (v *vanishingProvider) Current() (*efficientnet.Model, string) {
+	if v.calls.Add(1) == 1 {
+		return v.m, "boot"
+	}
+	return nil, ""
+}
+
+// TestNilModelAnswersErrNoModel: a batch whose provider has no current model
+// answers every request with ErrNoModel, and the workers live on to answer
+// later batches the same way (a nil model used to be dereferenced, and the
+// panic in the worker goroutine killed the process).
+func TestNilModelAnswersErrNoModel(t *testing.T) {
+	b := newTestBatcher(t, Config{Provider: &vanishingProvider{m: testModel(t, 1, 4, 16)}, MaxBatch: 4})
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := b.Predict(testPixels(b.SampleLen(), int64(i))); !errors.Is(err, ErrNoModel) {
+				t.Errorf("request %d: err %v, want ErrNoModel", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
 // enqueue admits a request directly onto the batcher's queue, bypassing
 // Predict's admission so tests can stage exact queue states.
 func enqueue(b *Batcher, seed int64) *request {

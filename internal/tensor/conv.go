@@ -149,19 +149,65 @@ func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 // spec.OutShape(x, w). Steady-state it allocates nothing: the im2col column
 // matrix and GEMM packing panels are reused through sc.
 func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
-	n, cin, h, wd := x.Dim4()
-	cout, cin2, kh, kw := w.Dim4()
-	if cin != cin2 {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch x=%v w=%v", x.shape, w.shape))
+	Conv2DPackedInto(dst, x, PackConv(nil, w), spec, sc)
+}
+
+// PackedConv is a convolution's weights [Cout,Cin,KH,KW] as the
+// [Cout, Cin·KH·KW] A operand of its GEMM: the row-major weights, which every
+// call packs (raw), or the row panels every call would pack, packed once
+// (panels) — the frozen inference plan's form of a weight that no longer
+// changes.
+type PackedConv struct {
+	cout, cin, kh, kw int
+	raw, panels       []float32
+}
+
+// PackedConvLen returns the floats PackConv needs for w.
+func PackedConvLen(w *Tensor) int {
+	cout, cin, kh, kw := w.Dim4()
+	return packedLen(cout, gemmMR, cin*kh*kw)
+}
+
+// PackConv packs w into buf, which must hold PackedConvLen(w) floats; the
+// result views buf. The panels lie k-slab by k-slab and row block by row
+// block, where the GEMM reads them. Element-wise changes to buf afterwards
+// (bf16 rounding) act as if made to w before packing: the padding is zeros.
+// A nil buf packs nothing: the operand reads w, and every call packs it as
+// Conv2DInto does.
+func PackConv(buf []float32, w *Tensor) PackedConv {
+	cout, cin, kh, kw := w.Dim4()
+	if buf == nil {
+		return PackedConv{cout, cin, kh, kw, w.data, nil}
 	}
-	oh := outSize(h, kh, spec.StrideH, spec.PadH)
-	ow := outSize(wd, kw, spec.StrideW, spec.PadW)
+	if len(buf) != PackedConvLen(w) {
+		panic(fmt.Sprintf("tensor: PackConv of %v into %d floats, want %d", w.shape, len(buf), PackedConvLen(w)))
+	}
+	m, k := cout, cin*kh*kw
+	mpad := packedLen(m, gemmMR, 1)
+	for p0 := 0; p0 < k; p0 += gemmKC {
+		kl := min(k-p0, gemmKC)
+		for i0 := 0; i0 < m; i0 += gemmMC {
+			packA(buf[p0*mpad+i0*kl:], w.data, k, false, i0, min(m-i0, gemmMC), p0, kl)
+		}
+	}
+	return PackedConv{cout, cin, kh, kw, nil, buf}
+}
+
+// Conv2DPackedInto is Conv2DInto over weights packed once: the same bits,
+// without packing the weights.
+func Conv2DPackedInto(dst, x *Tensor, w PackedConv, spec ConvSpec, sc *Scratch) {
+	n, cin, h, wd := x.Dim4()
+	if cin != w.cin {
+		panic(fmt.Sprintf("tensor: Conv2D channel mismatch x=%v w=%v", x.shape, []int{w.cout, w.cin, w.kh, w.kw}))
+	}
+	oh := outSize(h, w.kh, spec.StrideH, spec.PadH)
+	ow := outSize(wd, w.kw, spec.StrideW, spec.PadW)
 	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2D produces empty output for x=%v w=%v spec=%+v", x.shape, w.shape, spec))
+		panic(fmt.Sprintf("tensor: Conv2D produces empty output for x=%v w=%v spec=%+v", x.shape, []int{w.cout, w.cin, w.kh, w.kw}, spec))
 	}
 	dn, dc, doh, dow := dst.Dim4()
-	if dn != n || dc != cout || doh != oh || dow != ow {
-		panic(fmt.Sprintf("tensor: Conv2DInto dst shape %v, want %v", dst.shape, []int{n, cout, oh, ow}))
+	if dn != n || dc != w.cout || doh != oh || dow != ow {
+		panic(fmt.Sprintf("tensor: Conv2DInto dst shape %v, want %v", dst.shape, []int{n, w.cout, oh, ow}))
 	}
 	pool := sc.orDefault()
 
@@ -186,9 +232,9 @@ func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 // scratch buffer sized to the group. gemmPar spreads the GEMM over row-block
 // workers; callers already fanned out across samples pass false to avoid
 // nested parallelism.
-func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, pool *Scratch, gemmPar bool, lo, hi int) {
+func conv2DForwardRange(dst, x *Tensor, w PackedConv, spec ConvSpec, pool *Scratch, gemmPar bool, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
-	cout, _, kh, kw := w.Dim4()
+	cout, kh, kw := w.cout, w.kh, w.kw
 	_, _, oh, ow := dst.Dim4()
 	ckk := cin * kh * kw
 	ohw := oh * ow
@@ -208,8 +254,8 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, pool *Scratch, gemmPar
 				im2col(cols[i*colStride:(i+1)*colStride], x.data[(s+i)*chw:(s+i+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
 			}
 		}
-		gemmBatch(dst.data[s*cout*ohw:], cout*ohw, w.data, ckk, false,
-			cols, ohw, false, colStride, cnt, cout, ohw, ckk, false, pool, gemmPar)
+		gemmBatch(dst.data[s*cout*ohw:], cout*ohw, w.raw, ckk, false,
+			cols, ohw, false, colStride, cnt, cout, ohw, ckk, false, pool, gemmPar, w.panels, nil)
 	}
 	if cp != nil {
 		pool.put(cp)
@@ -329,7 +375,7 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 			dcols = *dcp
 		}
 		gemmBatch(dcols, colStride, w.data, ckk, true,
-			dy.data[s*cout*ohw:], ohw, false, cout*ohw, cnt, ckk, ohw, cout, false, pool, gemmPar)
+			dy.data[s*cout*ohw:], ohw, false, cout*ohw, cnt, ckk, ohw, cout, false, pool, gemmPar, nil, nil)
 		if !direct {
 			for i := 0; i < cnt; i++ {
 				col2im(dx.data[(s+i)*chw:(s+i+1)*chw], dcols[i*colStride:(i+1)*colStride], cin, h, wd, kh, kw, oh, ow, spec)

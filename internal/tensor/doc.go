@@ -96,6 +96,19 @@
 // order, which differs between compilers and architectures); that a lane is
 // NaN is.
 //
+// # Frozen operands
+//
+// Inference runs the same GEMMs on the same weights call after call, so a
+// frozen model (efficientnet.Plan) packs each weight once: PackConv lays a
+// convolution's [Cout, Cin·KH·KW] matrix out as the A panels of every k-slab
+// and row block, PackDense a dense layer's [In, Out] weights as the B panels
+// of every k-slab, each exactly where gemmBatch would have packed them per
+// call, and Conv2DPackedInto and MatMulPackedInto read them in place. The
+// products and their order are unchanged, so the bits are
+// (TestPackedOperandsMatchPerCallPacking). Tensor.Rebind re-points a header
+// at workspace memory without clearing it, for buffers the next kernel
+// overwrites in full.
+//
 // # Scratch pools
 //
 // Kernel temporaries — im2col column matrices (sized to the group of samples

@@ -89,13 +89,59 @@ func MatMulTBInto(dst, a, b *Tensor) {
 	gemm(dst.data, a.data, k, false, b.data, k, true, m, n, k, false, nil, true)
 }
 
+// PackedDense is a dense layer's weights W [In, Out], the B operand of
+// x @ W, packed once into the column panels every MatMul over W would pack
+// it into: the frozen inference plan's form of a weight that no longer
+// changes.
+type PackedDense struct {
+	in, out     int
+	raw, panels []float32
+}
+
+// PackedDenseLen returns the floats PackDense needs for w [In, Out].
+func PackedDenseLen(w *Tensor) int { return packedLen(w.shape[1], gemmNR, w.shape[0]) }
+
+// PackDense packs w [In, Out] into buf, which must hold PackedDenseLen(w)
+// floats; the result views buf. Element-wise changes to buf afterwards (bf16
+// rounding) act as if made to w before packing: the padding is zeros. A nil
+// buf packs nothing: the operand reads w, and every call packs it as MatMul
+// does.
+func PackDense(buf []float32, w *Tensor) PackedDense {
+	if w.Rank() == 2 && buf == nil {
+		return PackedDense{in: w.shape[0], out: w.shape[1], raw: w.data}
+	}
+	if w.Rank() != 2 || len(buf) != PackedDenseLen(w) {
+		panic(fmt.Sprintf("tensor: PackDense of %v into %d floats, want rank 2 and %d", w.shape, len(buf), PackedDenseLen(w)))
+	}
+	k, n := w.shape[0], w.shape[1]
+	npad := packedLen(n, gemmNR, 1)
+	for p0 := 0; p0 < k; p0 += gemmKC {
+		packB(buf[p0*npad:], w.data, n, false, 0, n, n, p0, min(k-p0, gemmKC))
+	}
+	return PackedDense{in: k, out: n, panels: buf}
+}
+
+// MatMulPackedInto writes a @ W into dst [M, Out] for a [M, In]: the bits of
+// MatMulInto(dst, a, W, false), without packing W.
+func MatMulPackedInto(dst, a *Tensor, w PackedDense) {
+	m, k := a.shape[0], a.shape[1]
+	if a.Rank() != 2 || k != w.in || dst.Len() != m*w.out {
+		panic(fmt.Sprintf("tensor: MatMulPackedInto shape mismatch dst=%v a=%v w=[%d %d]", dst.shape, a.shape, w.in, w.out))
+	}
+	gemmBatch(dst.data, 0, a.data, k, false, w.raw, w.out, false, 0, 1, m, w.out, k, false, nil, true, nil, w.panels)
+}
+
+// packedLen is the length of a rows×k operand packed whole, its rows padded
+// to a multiple of the panel height (gemmMR for A, gemmNR for B's columns).
+func packedLen(rows, panel, k int) int { return (rows + panel - 1) / panel * panel * k }
+
 // gemm computes dst[m,n] (+)= op(A) @ op(B), where op transposes when the
 // corresponding flag is set. lda/ldb are the leading (row) strides of the
 // *stored* layouts: element A[i,p] lives at a[i*lda+p] (or a[p*lda+i] when
 // at), and B[p,j] at b[p*ldb+j] (or b[j*ldb+p] when bt). dst is row-major
 // [m,n] with stride n. It is gemmBatch over a single sample.
 func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt bool, m, n, k int, accumulate bool, sc *Scratch, par bool) {
-	gemmBatch(dst, 0, a, lda, at, b, ldb, bt, 0, 1, m, n, k, accumulate, sc, par)
+	gemmBatch(dst, 0, a, lda, at, b, ldb, bt, 0, 1, m, n, k, accumulate, sc, par, nil, nil)
 }
 
 // gemmBatch computes dst_s[m,n] (+)= op(A) @ op(B_s) for count samples that
@@ -109,8 +155,11 @@ func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt
 // through the same micro-kernels, so its bits do not depend on count.
 // Temporaries come from sc (nil = the default pool). When par is set the row
 // blocks of each k-slab run on parallel workers; callers already inside a
-// parallel region pass par=false to avoid nested fan-out.
-func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []float32, ldb int, bt bool, bStride, count, m, n, k int, accumulate bool, sc *Scratch, par bool) {
+// parallel region pass par=false to avoid nested fan-out. A non-nil apk (bpk)
+// is op(A) (op(B)) packed whole by PackConv (PackDense), which then stands in
+// for a (b): each slab's panels are read where the per-call packing would
+// have written them.
+func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []float32, ldb int, bt bool, bStride, count, m, n, k int, accumulate bool, sc *Scratch, par bool, apk, bpk []float32) {
 	if m <= 0 || n <= 0 || count <= 0 {
 		return
 	}
@@ -124,38 +173,56 @@ func gemmBatch(dst []float32, dStride int, a []float32, lda int, at bool, b []fl
 		return
 	}
 	cols := count * n
-	npad := (cols + gemmNR - 1) / gemmNR * gemmNR
-	bpPtr := pool.get(min(k, gemmKC) * npad)
-	bp := *bpPtr
+	npad := packedLen(cols, gemmNR, 1)
+	var bpPtr *[]float32
+	if bpk == nil {
+		bpPtr = pool.get(min(k, gemmKC) * npad)
+	}
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kl := min(k-p0, gemmKC)
-		packB(bp, b, ldb, bt, bStride, n, cols, p0, kl)
+		var bp []float32
+		if bpk != nil {
+			bp = bpk[p0*npad:]
+		} else {
+			bp = *bpPtr
+			packB(bp, b, ldb, bt, bStride, n, cols, p0, kl)
+		}
 		nBlocks := (m + gemmMC - 1) / gemmMC
 		if par && nBlocks > 1 && parallel.MaxWorkers() > 1 {
 			// The closure is evaluated only on this branch, so the serial
 			// path below stays allocation-free.
 			parallel.ForChunked(nBlocks, 1, func(blo, bhi int) {
-				gemmRowBlocks(dst, dStride, a, lda, at, bp, pool, m, n, cols, p0, kl, blo, bhi)
+				gemmRowBlocks(dst, dStride, a, lda, at, apk, bp, pool, m, n, cols, p0, kl, blo, bhi)
 			})
 		} else {
-			gemmRowBlocks(dst, dStride, a, lda, at, bp, pool, m, n, cols, p0, kl, 0, nBlocks)
+			gemmRowBlocks(dst, dStride, a, lda, at, apk, bp, pool, m, n, cols, p0, kl, 0, nBlocks)
 		}
 	}
-	pool.put(bpPtr)
+	if bpPtr != nil {
+		pool.put(bpPtr)
+	}
 }
 
 // gemmRowBlocks processes row blocks [blo, bhi) of one k-slab: pack each
-// gemmMC-row block of op(A) and sweep its micro-tiles against the packed B
-// slab bp, whose cols columns are the batch's samples side by side, n each.
-// A named function (not a closure) so the serial gemm path performs no
-// per-call allocations.
-func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, bp []float32, pool *Scratch, m, n, cols, p0, kl, blo, bhi int) {
-	apPtr := pool.get(gemmMC * gemmKC)
-	ap := *apPtr
+// gemmMC-row block of op(A) (or find it in apk, packed whole) and sweep its
+// micro-tiles against the packed B slab bp, whose cols columns are the
+// batch's samples side by side, n each. A named function (not a closure) so
+// the serial gemm path performs no per-call allocations.
+func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, apk, bp []float32, pool *Scratch, m, n, cols, p0, kl, blo, bhi int) {
+	var apPtr *[]float32
+	if apk == nil {
+		apPtr = pool.get(gemmMC * gemmKC)
+	}
 	for bi := blo; bi < bhi; bi++ {
 		i0 := bi * gemmMC
 		rows := min(m-i0, gemmMC)
-		packA(ap, a, lda, at, i0, rows, p0, kl)
+		var ap []float32
+		if apk != nil {
+			ap = apk[p0*packedLen(m, gemmMR, 1)+i0*kl:]
+		} else {
+			ap = *apPtr
+			packA(ap, a, lda, at, i0, rows, p0, kl)
+		}
 		s, j := 0, 0 // sample, and column within it, of the column panel's first column
 		for jr := 0; jr < cols; jr += gemmNR {
 			tc := min(cols-jr, gemmNR)
@@ -188,7 +255,9 @@ func gemmRowBlocks(dst []float32, dStride int, a []float32, lda int, at bool, bp
 			}
 		}
 	}
-	pool.put(apPtr)
+	if apPtr != nil {
+		pool.put(apPtr)
+	}
 }
 
 // microTile computes one (possibly ragged) output tile. With FMA support,

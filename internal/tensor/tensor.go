@@ -83,6 +83,18 @@ func checkShape(shape []int) int {
 	return n
 }
 
+// Rebind re-points t at data, viewed in shape, without copying or clearing
+// anything: the hand-out of a workspace that lays its buffers out once, for
+// kernels that overwrite all of what they are handed. t reuses its own shape
+// storage, so a warm Rebind allocates nothing.
+func (t *Tensor) Rebind(data []float32, shape ...int) {
+	if n := checkShape(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: Rebind data length %d does not match shape %v (%d elements)", len(data), dims(shape), n))
+	}
+	t.shape = append(t.shape[:0], shape...)
+	t.data = data
+}
+
 // Shape returns the tensor's dimensions. The returned slice must not be
 // mutated.
 func (t *Tensor) Shape() []int { return t.shape }
