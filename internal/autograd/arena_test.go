@@ -59,7 +59,7 @@ func seBlock(x, w1, wd, gate *Value) *Value {
 	pw := tensor.ConvSpec{StrideH: 1, StrideW: 1}
 	dw := tensor.ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	h := Swish(Conv2D(x, w1, pw, bf16.FP32Policy, nil))
-	h = Swish(DepthwiseConv2D(h, wd, dw, bf16.FP32Policy))
+	h = Swish(DepthwiseConv2D(h, wd, dw, bf16.FP32Policy, nil))
 	s := Sigmoid(MatMul(GlobalAvgPool(h), gate))
 	h = MulChannelNC(h, s)
 	return Mean(Add(Reshape(h, 2, 3, 4, 4), x))

@@ -101,7 +101,7 @@ func TestDepthwiseConvGradViaTape(t *testing.T) {
 	w := Leaf(tensor.Randn(rng, 0.5, 3, 1, 3, 3), true)
 	spec := tensor.ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
 	gradCheck(t, "dwconv", []*Value{x, w}, func() *Value {
-		return Mean(DepthwiseConv2D(x, w, spec, bf16.FP32Policy))
+		return Mean(DepthwiseConv2D(x, w, spec, bf16.FP32Policy, nil))
 	}, 2e-3)
 }
 

@@ -108,13 +108,13 @@ func Conv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Sc
 }
 
 // DepthwiseConv2D applies a depthwise convolution under the same
-// mixed-precision policy as Conv2D.
-func DepthwiseConv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy) *Value {
+// mixed-precision policy as Conv2D, with kernel temporaries from sc.
+func DepthwiseConv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Scratch) *Value {
 	ar := arenaOf(x, w)
 	xc := MaybeBF16(ar, x.T, policy.ConvBF16)
 	wc := MaybeBF16(ar, w.T, policy.ConvBF16)
 	out := ar.New(spec.OutShape(xc, wc)...)
-	tensor.DepthwiseConv2DInto(out, xc, wc, spec)
+	tensor.DepthwiseConv2DPackedInto(out, xc, tensor.PackDepthwise(nil, wc), spec, sc)
 	return NewOp("dwconv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
 		gc := MaybeBF16(ar, g, policy.ConvBF16)
 		dw := ar.New(wc.Shape()...)

@@ -267,7 +267,7 @@ func TestOwnedGradientsAreNeverShared(t *testing.T) {
 	dw := tensor.ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	loss := func() *Value {
 		h := Swish(Conv2D(x, w1, pw, bf16.FP32Policy, nil))
-		h = Swish(DepthwiseConv2D(h, wd, dw, bf16.FP32Policy))
+		h = Swish(DepthwiseConv2D(h, wd, dw, bf16.FP32Policy, nil))
 		s := Sigmoid(MatMul(GlobalAvgPool(h), gate)) // h feeds the squeeze ...
 		h = MulChannelNC(h, s)                       // ... and the excite
 		return Mean(Add(Reshape(h, 2, 3, 4, 4), x))  // x feeds the block and the skip

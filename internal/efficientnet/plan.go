@@ -17,10 +17,11 @@ import (
 // buffers, with everything the steps read copied out of the model — each
 // convolution's weights rounded (under a bf16 policy) and packed into the A
 // panels its GEMM consumes, each dense layer's weights packed as B panels,
-// each depthwise kernel, and each batch norm's per-channel running-statistics
-// scalars. This is the paper's §2 "compile once" applied to the §3.3
-// evaluation loop and to serving: weight layouts and activation buffers are
-// fixed before the first forward runs, and Infer only computes.
+// each depthwise kernel packed eight channels to a vector, and each batch
+// norm's per-channel running-statistics scalars. This is the paper's §2
+// "compile once" applied to the §3.3 evaluation loop and to serving: weight
+// layouts and activation buffers are fixed before the first forward runs,
+// and Infer only computes.
 //
 // A Plan is immutable, so any number of goroutines may share one, each with
 // its own Workspace. It does not see later changes to the model: freeze again
@@ -82,7 +83,7 @@ type step struct {
 	in, out int
 	spec    tensor.ConvSpec
 	conv    tensor.PackedConv
-	dw      *tensor.Tensor // depthwise weights, rounded under bf16
+	dw      tensor.PackedDepthwise
 	dense   tensor.PackedDense
 	// vec is a dense layer's bias, or a batch norm's c-channel scalars as its
 	// eval forward computes them: running mean, 1/sqrt(var+eps), gamma, beta.
@@ -182,20 +183,19 @@ func outSize(in, k int, stride, pad int) int { return (in+2*pad-k)/stride + 1 }
 // floats takes n floats of the plan's storage.
 func (b *builder) floats(n int) []float32 { return b.p.arena.New(n).Data() }
 
-// conv lowers a convolution (packed weights) or a depthwise one (copied
-// weights) over x into a fresh buffer; under bf16 the weights are rounded
-// once here, and the input, as round describes, on every call.
+// conv lowers a convolution or a depthwise one (packed weights) over x into
+// a fresh buffer; under bf16 the weights are rounded once here, and the
+// input, as round describes, on every call.
 func (b *builder) conv(x int, w *tensor.Tensor, spec tensor.ConvSpec, keep, depthwise bool) int {
 	x = b.round(x, keep)
 	st := step{op: opConv, in: x, spec: spec}
 	var d []float32 // the plan's copy of the weights, if it keeps one
 	switch {
 	case depthwise && b.live && !b.bf16:
-		st.op, st.dw = opDepthwise, w
+		st.op, st.dw = opDepthwise, tensor.PackDepthwise(nil, w)
 	case depthwise:
-		st.op, st.dw = opDepthwise, b.p.arena.New(w.Shape()...)
-		d = st.dw.Data()
-		copy(d, w.Data())
+		d = b.floats(tensor.PackedDepthwiseLen(w))
+		st.op, st.dw = opDepthwise, tensor.PackDepthwise(d, w)
 	case b.live && !b.bf16:
 		st.conv = tensor.PackConv(nil, w)
 	default:
@@ -403,7 +403,7 @@ func (s *step) run(ws *Workspace) {
 	case opConv:
 		tensor.Conv2DPackedInto(out, in, s.conv, s.spec, nil)
 	case opDepthwise:
-		tensor.DepthwiseConv2DInto(out, in, s.dw, s.spec)
+		tensor.DepthwiseConv2DPackedInto(out, in, s.dw, s.spec, nil)
 	case opBN:
 		n, c, h, w := out.Dim4()
 		d, hw := out.Data(), h*w

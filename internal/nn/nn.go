@@ -144,7 +144,7 @@ func NewDepthwiseConv2D(rng *rand.Rand, name string, c, k, stride int) *Depthwis
 
 // Forward applies the depthwise convolution.
 func (l *DepthwiseConv2D) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
-	return autograd.DepthwiseConv2D(x, l.W.Value, l.Spec, ctx.Precision)
+	return autograd.DepthwiseConv2D(x, l.W.Value, l.Spec, ctx.Precision, ctx.Scratch)
 }
 
 // Params returns the depthwise kernel.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"effnetscale/internal/parallel"
@@ -22,6 +23,21 @@ func assertSameBits(t *testing.T, name string, got, want []float32) {
 	}
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// assertSameBitsButNaN is assertSameBits under which any NaN equals any NaN
+// (see sameBits).
+func assertSameBitsButNaN(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
 			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", name, i,
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
@@ -165,25 +181,102 @@ func refDepthwise(x, w, dy *Tensor, spec ConvSpec) (y, dx, dw *Tensor) {
 	return y, dx, dw
 }
 
-func checkDepthwiseClipped(t *testing.T, rng *rand.Rand, n, c, h, w, kh, kw int, spec ConvSpec) {
+// x86NaN is the result r of one SSE/AVX float32 operation on a and b (a the
+// first source) with its NaN chosen as the hardware chooses it: a's if a is
+// NaN, else b's, quieted; the default NaN if the operation itself is
+// invalid. Go code may get its operands swapped by the compiler, so only
+// assembly has a NaN payload this pins.
+func x86NaN(a, b, r float32) float32 {
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | 1<<22)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | 1<<22)
+	case r != r:
+		return math.Float32frombits(0xFFC00000)
+	}
+	return r
+}
+
+// refDepthwiseX86 is refDepthwise's forward with every NaN pinned by x86NaN
+// in the AVX2 kernel's operand order: input times weight, then accumulator
+// plus product.
+func refDepthwiseX86(x, w *Tensor, oh, ow int, spec ConvSpec) *Tensor {
+	n, c, h, wd := x.Dim4()
+	_, _, kh, kw := w.Dim4()
+	y := New(n, c, oh, ow)
+	for nc := 0; nc < n*c; nc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var acc float32
+				for i := 0; i < kh; i++ {
+					for j := 0; j < kw; j++ {
+						iy, ix := oy*spec.StrideH-spec.PadH+i, ox*spec.StrideW-spec.PadW+j
+						if iy < 0 || iy >= h || ix < 0 || ix >= wd {
+							continue
+						}
+						xv, wv := x.data[nc*h*wd+iy*wd+ix], w.data[(nc%c)*kh*kw+i*kw+j]
+						p := x86NaN(xv, wv, xv*wv)
+						acc = x86NaN(acc, p, acc+p)
+					}
+				}
+				y.data[nc*oh*ow+oy*ow+ox] = acc
+			}
+		}
+	}
+	return y
+}
+
+// checkDepthwiseClipped holds the depthwise kernels to refDepthwise bit for
+// bit: the forward under both dispatches (eight channels per AVX2 register,
+// and the Go twin), each from raw and from lane-packed weights, then dx and
+// dw. fill, if not nil, draws the values of x and w; then the Go kernels may
+// return any NaN for a NaN, while the AVX2 forward must also match the NaN
+// payloads refDepthwiseX86 pins.
+func checkDepthwiseClipped(t *testing.T, rng *rand.Rand, n, c, h, w, kh, kw int, spec ConvSpec, fill func() float32) {
 	t.Helper()
 	oh, ow := outSize(h, kh, spec.StrideH, spec.PadH), outSize(w, kw, spec.StrideW, spec.PadW)
 	x := Randn(rng, 1, n, c, h, w)
 	wt := Randn(rng, 1, c, 1, kh, kw)
+	check := assertSameBits
+	if fill != nil {
+		check = assertSameBitsButNaN
+		for _, d := range [][]float32{x.data, wt.data} {
+			for i := range d {
+				d[i] = fill()
+			}
+		}
+	}
 	dy := Randn(rng, 1, n, c, oh, ow)
 	name := fmt.Sprintf("x=%v k=%dx%d spec=%+v", x.shape, kh, kw, spec)
 	wantY, wantDx, wantDw := refDepthwise(x, wt, dy, spec)
-	assertSameBits(t, name+" forward", DepthwiseConv2D(x, wt, spec).data, wantY.data)
+	wantX86 := refDepthwiseX86(x, wt, oh, ow, spec)
+	assertSameBitsButNaN(t, name+" x86 reference", wantX86.data, wantY.data)
+	packed := PackDepthwise(make([]float32, PackedDepthwiseLen(wt)), wt)
+	for _, avx := range []bool{false, true} {
+		restore := forceAVX2(avx)
+		fwd, want := check, wantY
+		if useAVX2 {
+			fwd, want = assertSameBits, wantX86
+		}
+		fwd(t, fmt.Sprintf("%s avx2=%v forward", name, useAVX2), DepthwiseConv2D(x, wt, spec).data, want.data)
+		y := Full(3, wantY.shape...)
+		DepthwiseConv2DPackedInto(y, x, packed, spec, nil)
+		fwd(t, fmt.Sprintf("%s avx2=%v packed forward", name, useAVX2), y.data, want.data)
+		restore()
+	}
 	dx, dw := DepthwiseConv2DBackward(x, wt, dy, spec)
-	assertSameBits(t, name+" dx", dx.data, wantDx.data)
-	assertSameBits(t, name+" dw", dw.data, wantDw.data)
+	check(t, name+" dx", dx.data, wantDx.data)
+	check(t, name+" dw", dw.data, wantDw.data)
 	dwOnly := Full(3, wt.shape...)
 	DepthwiseConv2DBackwardInto(nil, dwOnly, x, wt, dy, spec)
-	assertSameBits(t, name+" dw with nil dx", dwOnly.data, wantDw.data)
+	check(t, name+" dw with nil dx", dwOnly.data, wantDw.data)
 }
 
 // TestDepthwiseClippedMatchesNaive covers every SAME-padded plane from 1×1 to
-// 9×9 (planes smaller than the kernel included) for k in {1,3,5,7}.
+// 9×9 (planes smaller than the kernel included) for k in {1,3,5,7}, at
+// channel counts that make no full lane block, one, and full blocks plus a
+// tail.
 func TestDepthwiseClippedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, k := range []int{1, 3, 5, 7} {
@@ -191,21 +284,42 @@ func TestDepthwiseClippedMatchesNaive(t *testing.T) {
 			for h := 1; h <= 9; h++ {
 				for w := 1; w <= 9; w++ {
 					spec := ConvSpec{StrideH: stride, StrideW: stride, PadH: SamePad(k), PadW: SamePad(k)}
-					checkDepthwiseClipped(t, rng, 2, 3, h, w, k, k, spec)
+					for _, c := range []int{1, 4, 8, 13, 24} {
+						for _, n := range []int{1, 2} {
+							checkDepthwiseClipped(t, rng, n, c, h, w, k, k, spec, nil)
+						}
+					}
 				}
 			}
 		}
 	}
+	// Enough planes (n·C > 256, n·⌈C/8⌉ > 32 blocks) for both dispatches to
+	// fan out over two workers.
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(2))
+	for _, k := range []int{3, 5} {
+		spec := ConvSpec{StrideH: 2, StrideW: 2, PadH: SamePad(k), PadW: SamePad(k)}
+		checkDepthwiseClipped(t, rng, 5, 60, 8, 8, k, k, spec, nil)
+	}
+}
+
+// dwClasses are the special values FuzzDepthwiseClipped mixes into x and w,
+// one bit of its class byte each.
+var dwClasses = []float32{
+	0, float32(math.Copysign(0, -1)),
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	0x1p-140, -0x1p-127, // denormals
+	0x1p100, // a product of two overflows
 }
 
 // FuzzDepthwiseClipped extends the sweep to arbitrary padding (windows that
-// lie wholly in it included), even and rectangular kernels and rectangular
-// strides.
+// lie wholly in it included), even and rectangular kernels, rectangular
+// strides, 1-24 channels (lane blocks with and without a tail) and special
+// values in x and w.
 func FuzzDepthwiseClipped(f *testing.F) {
-	f.Add(uint8(4), uint8(4), uint8(2), uint8(2), uint8(1), uint8(1), uint8(1), int64(1))
-	f.Add(uint8(1), uint8(1), uint8(4), uint8(4), uint8(0), uint8(0), uint8(18), int64(2)) // 2×2 plane, k5
-	f.Add(uint8(8), uint8(2), uint8(4), uint8(2), uint8(1), uint8(0), uint8(3), int64(3))  // 5×3 kernel, pad > SAME
-	f.Fuzz(func(t *testing.T, hRaw, wRaw, khRaw, kwRaw, sHRaw, sWRaw, padRaw uint8, seed int64) {
+	f.Add(uint8(4), uint8(4), uint8(2), uint8(2), uint8(1), uint8(1), uint8(1), uint8(7), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(1), uint8(4), uint8(4), uint8(0), uint8(0), uint8(18), uint8(12), uint8(0xFF), int64(2)) // 2×2 plane, k5
+	f.Add(uint8(8), uint8(2), uint8(4), uint8(2), uint8(1), uint8(0), uint8(3), uint8(23), uint8(0x1C), int64(3))  // 5×3 kernel, pad > SAME
+	f.Fuzz(func(t *testing.T, hRaw, wRaw, khRaw, kwRaw, sHRaw, sWRaw, padRaw, cRaw, classes uint8, seed int64) {
 		h, w := 1+int(hRaw)%12, 1+int(wRaw)%12
 		kh, kw := 1+int(khRaw)%7, 1+int(kwRaw)%7
 		spec := ConvSpec{StrideH: 1 + int(sHRaw)%3, StrideW: 1 + int(sWRaw)%3}
@@ -214,8 +328,58 @@ func FuzzDepthwiseClipped(f *testing.F) {
 		if outSize(h, kh, spec.StrideH, spec.PadH) <= 0 || outSize(w, kw, spec.StrideW, spec.PadW) <= 0 {
 			t.Skip("empty output")
 		}
-		checkDepthwiseClipped(t, rand.New(rand.NewSource(seed)), 2, 2, h, w, kh, kw, spec)
+		rng := rand.New(rand.NewSource(seed))
+		var special []float32
+		for i, v := range dwClasses {
+			if classes&(1<<i) != 0 {
+				special = append(special, v)
+			}
+		}
+		fill := func() float32 { // half the values special, if any class is on
+			if len(special) == 0 || rng.Intn(2) == 0 {
+				return float32(rng.NormFloat64())
+			}
+			return special[rng.Intn(len(special))]
+		}
+		checkDepthwiseClipped(t, rng, 2, 1+int(cRaw)%24, h, w, kh, kw, spec, fill)
 	})
+}
+
+// TestDepthwiseIntoRejectsWrongDst: a dst with an output row too many, a
+// column too few, a sample or a channel short stops both entry points with a
+// named panic before any kernel writes, under either dispatch.
+func TestDepthwiseIntoRejectsWrongDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	x := Randn(rng, 1, 2, 8, 6, 6)
+	w := Randn(rng, 1, 8, 1, 3, 3)
+	spec := ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	packed := PackDepthwise(make([]float32, PackedDepthwiseLen(w)), w)
+	for _, shape := range [][]int{{2, 8, 7, 6}, {2, 8, 6, 5}, {1, 8, 6, 6}, {2, 7, 6, 6}} {
+		for _, avx := range []bool{false, true} {
+			restore := forceAVX2(avx)
+			for _, packedW := range []bool{false, true} {
+				dst := Full(3, shape...)
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "dst shape") {
+							t.Errorf("dst %v avx2=%v packed=%v: panic %q, want a dst shape panic", shape, avx, packedW, msg)
+						}
+					}()
+					if packedW {
+						DepthwiseConv2DPackedInto(dst, x, packed, spec, nil)
+					} else {
+						DepthwiseConv2DInto(dst, x, w, spec)
+					}
+				}()
+				for i, v := range dst.data {
+					if v != 3 {
+						t.Fatalf("dst %v avx2=%v packed=%v: element %d written before the check", shape, avx, packedW, i)
+					}
+				}
+			}
+			restore()
+		}
+	}
 }
 
 // TestConvKernelsAllocateNothingOnOneWorker: with a warm Scratch the conv

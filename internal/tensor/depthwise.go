@@ -67,21 +67,81 @@ func DepthwiseConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 // must have shape spec.OutShape(x, w) ([N,C,OH,OW]). It allocates nothing
 // when running single-worker.
 func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
-	n, c, h, wd := x.Dim4()
-	cw, one, kh, kw := w.Dim4()
-	if cw != c || one != 1 {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2D weight shape %v does not match channels %d", w.shape, c))
+	DepthwiseConv2DPackedInto(dst, x, PackDepthwise(nil, w), spec, nil)
+}
+
+// PackedDepthwise is a depthwise convolution's weights [C,1,KH,KW]: the
+// row-major weights the Go loop reads (raw) and, packed once, the form the
+// AVX2 kernel reads (lanes), [⌈C/8⌉][KH·KW][8] with zeros past channel C.
+type PackedDepthwise struct {
+	c, kh, kw  int
+	raw, lanes []float32
+}
+
+// PackedDepthwiseLen returns the floats PackDepthwise needs for w.
+func PackedDepthwiseLen(w *Tensor) int {
+	c, _, kh, kw := w.Dim4()
+	return (c + (c+7)/8*8) * kh * kw
+}
+
+// PackDepthwise copies w into buf, which must hold PackedDepthwiseLen(w)
+// floats, raw and lane-packed; the result views buf. Element-wise changes to
+// buf afterwards (bf16 rounding) act as if made to w before packing: the
+// padding is zeros. A nil buf packs nothing: the operand reads w, and every
+// call lane-packs it as DepthwiseConv2DInto does.
+func PackDepthwise(buf []float32, w *Tensor) PackedDepthwise {
+	c, one, kh, kw := w.Dim4()
+	if one != 1 {
+		panic(fmt.Sprintf("tensor: DepthwiseConv2D weight shape %v is not [C,1,KH,KW]", w.shape))
 	}
-	_, _, oh, ow := dst.Dim4()
-	g := newDWGeom(h, wd, kh, kw, oh, ow, spec)
+	if buf == nil {
+		return PackedDepthwise{c, kh, kw, w.data, nil}
+	}
+	if len(buf) != PackedDepthwiseLen(w) {
+		panic(fmt.Sprintf("tensor: PackDepthwise of %v into %d floats, want %d", w.shape, len(buf), PackedDepthwiseLen(w)))
+	}
+	raw := buf[:copy(buf, w.data)]
+	packLanes(buf[len(raw):], raw, c, kh*kw)
+	return PackedDepthwise{c, kh, kw, raw, buf[len(raw):]}
+}
+
+// packLanes lane-packs the weights raw [C][taps] into buf.
+func packLanes(buf, raw []float32, c, taps int) {
+	clear(buf)
+	for ch := 0; ch < c; ch++ {
+		for t, v := range raw[ch*taps : (ch+1)*taps] {
+			buf[(ch/8*taps+t)*8+ch%8] = v
+		}
+	}
+}
+
+// DepthwiseConv2DPackedInto is DepthwiseConv2DInto over weights packed by
+// PackDepthwise: the same bits (any NaN for a NaN under AVX2). Temporaries come from sc (nil = the
+// process-wide pool). With AVX2 it runs eight channels of a sample per
+// register (depthwiseLanes); elsewhere, per (sample, channel) plane in Go.
+func DepthwiseConv2DPackedInto(dst, x *Tensor, w PackedDepthwise, spec ConvSpec, sc *Scratch) {
+	n, c, h, wd := x.Dim4()
+	if c != w.c {
+		panic(fmt.Sprintf("tensor: DepthwiseConv2D weight shape %v does not match channels %d", []int{w.c, 1, w.kh, w.kw}, c))
+	}
+	// The assembly has no bounds checks: a dst of the wrong shape (or an
+	// empty output) must stop here, not write past its end.
+	oh, ow := outSize(h, w.kh, spec.StrideH, spec.PadH), outSize(wd, w.kw, spec.StrideW, spec.PadW)
+	if dn, dc, doh, dow := dst.Dim4(); dn != n || dc != c || doh != oh || dow != ow || oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: DepthwiseConv2DInto dst shape %v, want %v", dst.shape, []int{n, c, oh, ow}))
+	}
+	g := newDWGeom(h, wd, w.kh, w.kw, oh, ow, spec)
+	if depthwiseLanes(dst, x, w, g, sc.orDefault()) {
+		return
+	}
 	if parallel.MaxWorkers() > 1 {
 		parallel.For(n*c, func(nc int) {
-			depthwiseForwardOne(dst, x, w, g, c, nc)
+			depthwiseForwardOne(dst, x, w.raw, g, c, nc)
 		})
 		return
 	}
 	for nc := 0; nc < n*c; nc++ {
-		depthwiseForwardOne(dst, x, w, g, c, nc)
+		depthwiseForwardOne(dst, x, w.raw, g, c, nc)
 	}
 }
 
@@ -92,11 +152,11 @@ func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
 // checked loop's order with the skipped taps left out. Outputs whose window
 // spans the kernel's full width go as one run per row, with the 3- and 5-wide
 // rows of taps (all EfficientNet uses) unrolled.
-func depthwiseForwardOne(dst, x, w *Tensor, g dwGeom, c, nc int) {
+func depthwiseForwardOne(dst, x *Tensor, w []float32, g dwGeom, c, nc int) {
 	h, wd, kh, kw, oh, ow, sw := g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.strideW
 	ch := nc % c
 	xs := x.data[nc*h*wd : (nc+1)*h*wd]
-	ws := w.data[ch*kh*kw : (ch+1)*kh*kw]
+	ws := w[ch*kh*kw : (ch+1)*kh*kw]
 	os := dst.data[nc*oh*ow : (nc+1)*oh*ow]
 	unrolled := (kw == 3 || kw == 5) && g.oxLo < g.oxHi
 	for oy := 0; oy < oh; oy++ {

@@ -46,7 +46,15 @@
 // rows, forward and backward. Taps are visited i then j ascending and every
 // gradient element receives its contributions in row-major output order, so
 // forward, dx and dw are bit-identical to the naive checked quadruple loop
-// (TestDepthwiseClippedMatchesNaive, FuzzDepthwiseClipped).
+// (TestDepthwiseClippedMatchesNaive, FuzzDepthwiseClipped). With AVX2 the
+// forward puts eight channels of a sample, not eight outputs, in a register
+// (depthwise_amd64.go), since pico's small planes leave few interior runs:
+// per lane the same VMULPS-then-VADDPS taps in the same order, over weights
+// lane-packed by PackDepthwise; the Go loop is the twin elsewhere. The two
+// give the same bits, except that any NaN may stand for a NaN: which NaN
+// payload comes out is fixed only for the assembly (the first operand's,
+// input before weight, accumulator before product), since Go code's depends
+// on the operand order the compiler picks.
 //
 // # Element-wise kernels
 //
@@ -143,8 +151,11 @@
 // the kernels deliberately contain no sparsity skips, since 0·NaN must
 // stay NaN. fuzz_test.go extends the oracles over fuzzed shapes and pins
 // the im2col/col2im adjoint identity; batched_test.go holds the batched
-// GEMM and the clipped-window depthwise kernels bit for bit to the
-// per-sample and per-tap-checked loops they replaced; seed corpora live
+// GEMM and the clipped-window depthwise kernels (both dispatches, raw and
+// lane-packed weights, 1–24 channels, and in the fuzz target −0, ±Inf, NaN
+// and denormals, the AVX2 forward's NaN payloads pinned by an x86-rule
+// reference and any NaN allowed for the Go loops) bit for bit to
+// the per-sample and per-tap-checked loops they replaced; seed corpora live
 // under testdata. Performance is gated by cmd/benchdiff comparing
 // BenchmarkStep / BenchmarkMatMul / BenchmarkConv / BenchmarkElementwise
 // against the committed BENCH_BASELINE.json in CI.

@@ -5,6 +5,9 @@ package tensor
 // Off amd64 there is no assembly: every *Vec hook takes zero elements and
 // the Go twin in elementwise.go runs the whole row.
 
+// useAVX2 is false off amd64: the Go twins run everything.
+const useAVX2 = false
+
 // forceAVX2 is a no-op off amd64; only the Go twin exists.
 func forceAVX2(bool) func() { return func() {} }
 
