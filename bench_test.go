@@ -357,22 +357,6 @@ func BenchmarkCollective(b *testing.B) {
 			runCollective(colls, func(c comm.Collective) { c.AllGather(locals[c.Rank()], outs[c.Rank()]) })
 		}
 	})
-	b.Run("broadcast_8ranks_128K", func(b *testing.B) {
-		colls, err := comm.RingProvider().Connect(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufs := make([][]float32, 8)
-		for r := range bufs {
-			bufs[r] = make([]float32, 32768)
-		}
-		b.SetBytes(32768 * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runCollective(colls, func(c comm.Collective) { c.Broadcast(bufs[c.Rank()], 0) })
-		}
-	})
 }
 
 // BenchmarkBucketedOverlap measures the real training step under different

@@ -41,29 +41,6 @@ func Swish(a *Value) *Value {
 	})
 }
 
-// ReLU applies max(0, x) element-wise.
-func ReLU(a *Value) *Value {
-	ar := a.arena
-	out := clone(ar, a.T)
-	od := out.Data()
-	for i, x := range od {
-		if x < 0 {
-			od[i] = 0
-		}
-	}
-	in := a.T.Data()
-	return NewOp("relu", out, []*Value{a}, func(g *tensor.Tensor) {
-		dx := ar.New(out.Shape()...)
-		gd, dd := g.Data(), dx.Data()
-		for i := range dd {
-			if in[i] > 0 {
-				dd[i] = gd[i]
-			}
-		}
-		a.Accumulate(dx)
-	})
-}
-
 // --- Convolutions with mixed-precision policy -------------------------------
 
 // MaybeBF16 returns t rounded to bfloat16 precision in a fresh tensor from

@@ -42,15 +42,6 @@ type Collective interface {
 	// the same length and the same bounds: WorldSize()+1 ascending offsets
 	// within buf. Anything else panics on every rank.
 	AllGatherInPlace(buf []float32, bounds []int)
-	// ReduceScatter sums buf across ranks and returns the chunk this rank
-	// owns of the reduced result (chunk (rank+1) mod n per chunkBounds).
-	// buf is left in an unspecified partially-reduced state.
-	ReduceScatter(buf []float32) []float32
-	// Broadcast copies root's buf to every rank. A root outside
-	// [0, WorldSize) panics on every rank.
-	Broadcast(buf []float32, root int)
-	// Barrier blocks until every rank has entered it.
-	Barrier()
 	// Algorithm names the algorithm this endpoint runs, including any
 	// fallback in effect (e.g. "tree(ring-fallback,n=6)") — the observable
 	// answer to "which collective actually ran?".
@@ -83,15 +74,6 @@ func (r *Ring) AllGather(local, out []float32) { allGather(r.p, local, out) }
 
 // AllGatherInPlace implements Collective.
 func (r *Ring) AllGatherInPlace(buf []float32, bounds []int) { allGatherInPlace(r.p, buf, bounds) }
-
-// ReduceScatter implements Collective.
-func (r *Ring) ReduceScatter(buf []float32) []float32 { return reduceScatter(r.p, buf) }
-
-// Broadcast implements Collective.
-func (r *Ring) Broadcast(buf []float32, root int) { broadcast(r.p, buf, root) }
-
-// Barrier implements Collective.
-func (r *Ring) Barrier() { r.p.barrier() }
 
 // Algorithm implements Collective.
 func (r *Ring) Algorithm() string { return "ring" }
@@ -190,15 +172,6 @@ func (t *Torus2D) AllGatherInPlace(buf []float32, bounds []int) {
 	allGatherInPlace(t.flat, buf, bounds)
 }
 
-// ReduceScatter implements Collective.
-func (t *Torus2D) ReduceScatter(buf []float32) []float32 { return reduceScatter(t.flat, buf) }
-
-// Broadcast implements Collective.
-func (t *Torus2D) Broadcast(buf []float32, root int) { broadcast(t.flat, buf, root) }
-
-// Barrier implements Collective.
-func (t *Torus2D) Barrier() { t.flat.barrier() }
-
 // Algorithm implements Collective.
 func (t *Torus2D) Algorithm() string {
 	return fmt.Sprintf("torus2d(%dx%d)", t.grid.Rows, t.grid.Cols)
@@ -255,15 +228,6 @@ func (a *Auto) AllGather(local, out []float32) { a.ring.AllGather(local, out) }
 
 // AllGatherInPlace implements Collective.
 func (a *Auto) AllGatherInPlace(buf []float32, bounds []int) { a.ring.AllGatherInPlace(buf, bounds) }
-
-// ReduceScatter implements Collective.
-func (a *Auto) ReduceScatter(buf []float32) []float32 { return a.ring.ReduceScatter(buf) }
-
-// Broadcast implements Collective.
-func (a *Auto) Broadcast(buf []float32, root int) { a.ring.Broadcast(buf, root) }
-
-// Barrier implements Collective.
-func (a *Auto) Barrier() { a.ring.Barrier() }
 
 // Algorithm implements Collective.
 func (a *Auto) Algorithm() string {
@@ -335,12 +299,6 @@ func (p Provider) ModelAllReduce(bytes, n int, lp LinkParams) (float64, string) 
 		panic("comm: ModelAllReduce on zero Provider (use RingProvider, TreeProvider, Torus2DProvider or AutoProvider)")
 	}
 	return p.model(bytes, n, p.slice, lp)
-}
-
-// ModelAllReduceSeconds is ModelAllReduce without the algorithm name.
-func (p Provider) ModelAllReduceSeconds(bytes, n int, lp LinkParams) float64 {
-	s, _ := p.ModelAllReduce(bytes, n, lp)
-	return s
 }
 
 // RingProvider builds ring collectives.

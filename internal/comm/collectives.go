@@ -40,7 +40,7 @@ func ringAllReduce[T float](p *peer, buf []T) {
 // scratch chunk. Peers are still reading buf, so the caller waits on the
 // world once more (gatherChunks does) before returning.
 func foldChunk[T float](p *peer, op Op, buf []T) []T {
-	publish(p, op, buf, 0, nil)
+	publish(p, op, buf, nil)
 	n := p.w.n
 	c := (p.rank + 1) % n
 	lo, hi := chunkBounds(len(buf), n, c)
@@ -79,20 +79,6 @@ func gatherChunks[T float](p *peer, buf []T) {
 	}
 }
 
-// reduceScatter sums buf across ranks and returns this rank's chunk of the
-// total, chunk (rank+1) mod n per chunkBounds, as a fresh slice. buf is not
-// modified.
-func reduceScatter(p *peer, buf []float32) []float32 {
-	n := p.w.n
-	if n == 1 {
-		return append(make([]float32, 0, len(buf)), buf...)
-	}
-	own := foldChunk(p, OpReduceScatter, buf)
-	out := append(make([]float32, 0, len(own)), own...)
-	p.w.bar.wait()
-	return out
-}
-
 // allGather concatenates every rank's local slice into out, ordered by rank.
 // len(out) must equal the world size × len(local).
 func allGather(p *peer, local, out []float32) {
@@ -105,7 +91,7 @@ func allGather(p *peer, local, out []float32) {
 		copy(out, local)
 		return
 	}
-	publish(p, OpAllGather, local, 0, nil)
+	publish(p, OpAllGather, local, nil)
 	for j := 0; j < n; j++ {
 		copy(out[j*l:(j+1)*l], laneOf[float32](&p.w.slots[j]).buf)
 	}
@@ -120,10 +106,9 @@ func allGather(p *peer, local, out []float32) {
 func allGatherInPlace(p *peer, buf []float32, bounds []int) {
 	n := p.w.n
 	if n > 1 {
-		// Publish first, as broadcast does: ranks that disagree on the bounds
-		// fail the check together, and past it every rank judges the same
-		// bounds.
-		publish(p, OpAllGatherInPlace, buf, 0, bounds)
+		// Publish first: ranks that disagree on the bounds fail the check
+		// together, and past it every rank judges the same bounds.
+		publish(p, OpAllGatherInPlace, buf, bounds)
 	}
 	if len(bounds) != n+1 || bounds[0] < 0 || bounds[n] > len(buf) || !slices.IsSorted(bounds) {
 		panic(fmt.Sprintf("comm: all-gather bounds %v are not %d ascending offsets within a buffer of %d", bounds, n+1, len(buf)))
@@ -136,28 +121,6 @@ func allGatherInPlace(p *peer, buf []float32, bounds []int) {
 			lo, hi := bounds[j], bounds[j+1]
 			copy(buf[lo:hi], laneOf[float32](&p.w.slots[j]).buf[lo:hi])
 		}
-	}
-	p.w.bar.wait()
-}
-
-// broadcast copies root's buf to every rank. All ranks must pass buffers of
-// the same length and the same root in [0, n); non-root contents are
-// overwritten.
-func broadcast(p *peer, buf []float32, root int) {
-	n := p.w.n
-	if n > 1 {
-		// Publish first: ranks that disagree on the root fail the check
-		// together, and past it every rank judges the same root.
-		publish(p, OpBroadcast, buf, root, nil)
-	}
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("comm: broadcast root %d out of range for world size %d", root, n))
-	}
-	if n == 1 {
-		return
-	}
-	if p.rank != root {
-		copy(buf, laneOf[float32](&p.w.slots[root]).buf)
 	}
 	p.w.bar.wait()
 }
@@ -179,7 +142,7 @@ func treeAllReduce[T float](p *peer, buf []T) bool {
 		ringAllReduce(p, buf)
 		return false
 	}
-	publish(p, reduceOp[T](), buf, 0, nil)
+	publish(p, reduceOp[T](), buf, nil)
 	src, dst := buf, scratch[T](p, len(buf))
 	inScratch := false // whether src is the scratch
 	for dist := 1; dist < n; dist <<= 1 {

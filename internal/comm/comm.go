@@ -26,7 +26,7 @@ type world struct {
 	bar   *cyclicBarrier
 }
 
-// slot is one rank's mailbox. The rank writes op, n, root, bounds and a
+// slot is one rank's mailbox. The rank writes op, n, bounds and a
 // lane's buf before a call's first wait; peers read them before its second.
 // A lane's scratch is resized and written only by its rank, after a first
 // wait, and peers read it after a later wait of the same call — a rank
@@ -35,7 +35,6 @@ type world struct {
 type slot struct {
 	op     Op
 	n      int   // payload length in elements
-	root   int   // broadcast root; 0 for every other op
 	bounds []int // in-place all-gather spans; nil for every other op
 	f32    lane[float32]
 	f64    lane[float64]
@@ -112,9 +111,9 @@ type peer struct {
 // publish posts this rank's call in its slot, waits until every rank has
 // posted, and checks that all of them entered the same collective: a
 // mismatch panics on every rank, so none is left waiting.
-func publish[T float](p *peer, op Op, buf []T, root int, bounds []int) {
+func publish[T float](p *peer, op Op, buf []T, bounds []int) {
 	s := &p.w.slots[p.rank]
-	s.op, s.n, s.root, s.bounds = op, len(buf), root, bounds
+	s.op, s.n, s.bounds = op, len(buf), bounds
 	laneOf[T](s).buf = buf
 	p.w.bar.wait()
 	p.w.check()
@@ -125,12 +124,12 @@ func (w *world) check() {
 	a := &w.slots[0]
 	for j := 1; j < w.n; j++ {
 		b := &w.slots[j]
-		if b.op == a.op && b.n == a.n && b.root == a.root && slices.Equal(b.bounds, a.bounds) {
+		if b.op == a.op && b.n == a.n && slices.Equal(b.bounds, a.bounds) {
 			continue
 		}
 		what := "collective"
 		switch {
-		case b.op != a.op || b.root != a.root:
+		case b.op != a.op:
 		case b.n != a.n:
 			what = "buffer length"
 		default:
@@ -141,10 +140,7 @@ func (w *world) check() {
 }
 
 func (s *slot) call() string {
-	switch s.op {
-	case OpBroadcast:
-		return fmt.Sprintf("%s(%d, root %d)", s.op, s.n, s.root)
-	case OpAllGatherInPlace:
+	if s.op == OpAllGatherInPlace {
 		return fmt.Sprintf("%s(%d, bounds %v)", s.op, s.n, s.bounds)
 	}
 	return fmt.Sprintf("%s(%d)", s.op, s.n)
@@ -159,15 +155,6 @@ func scratch[T float](p *peer, n int) []T {
 	}
 	l.scratch = l.scratch[:n]
 	return l.scratch
-}
-
-// barrier blocks until every rank of the world has entered it.
-func (p *peer) barrier() {
-	if p.w.n == 1 {
-		return
-	}
-	publish[float32](p, OpBarrier, nil, 0, nil)
-	p.w.bar.wait()
 }
 
 // chunkBounds splits length l into n contiguous chunks; chunk i is

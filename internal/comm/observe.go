@@ -15,9 +15,6 @@ const (
 	OpAllReduceF64     Op = "allreduce_f64"
 	OpAllGather        Op = "allgather"
 	OpAllGatherInPlace Op = "allgather_inplace"
-	OpReduceScatter    Op = "reduce_scatter"
-	OpBroadcast        Op = "broadcast"
-	OpBarrier          Op = "barrier"
 )
 
 // Event is one observed collective call on one rank: which operation ran,
@@ -32,8 +29,8 @@ type Event struct {
 	Rank      int
 	World     int
 	// Bytes is the local payload size: len(buf) × element size for
-	// reductions and broadcast, the gathered output size for the
-	// all-gathers (every rank's span, for the in-place one), 0 for barriers.
+	// reductions, the gathered output size for the all-gathers (every
+	// rank's span, for the in-place one).
 	Bytes   int
 	Elapsed time.Duration
 }
@@ -152,26 +149,4 @@ func (in *instrumented) AllGatherInPlace(buf []float32, bounds []int) {
 	start := time.Now()
 	in.c.AllGatherInPlace(buf, bounds)
 	in.emit(OpAllGatherInPlace, in.c.Algorithm(), 4*(bounds[len(bounds)-1]-bounds[0]), start)
-}
-
-// ReduceScatter implements Collective.
-func (in *instrumented) ReduceScatter(buf []float32) []float32 {
-	start := time.Now()
-	got := in.c.ReduceScatter(buf)
-	in.emit(OpReduceScatter, in.c.Algorithm(), 4*len(buf), start)
-	return got
-}
-
-// Broadcast implements Collective.
-func (in *instrumented) Broadcast(buf []float32, root int) {
-	start := time.Now()
-	in.c.Broadcast(buf, root)
-	in.emit(OpBroadcast, in.c.Algorithm(), 4*len(buf), start)
-}
-
-// Barrier implements Collective.
-func (in *instrumented) Barrier() {
-	start := time.Now()
-	in.c.Barrier()
-	in.emit(OpBarrier, in.c.Algorithm(), 0, start)
 }

@@ -104,9 +104,6 @@ func (d *Dataset) Config() Config { return d.cfg }
 // classes so every shard sees a balanced class mix.
 func (d *Dataset) TrainLabel(idx int) int { return idx % d.cfg.NumClasses }
 
-// ValLabel returns the label of validation image idx.
-func (d *Dataset) ValLabel(idx int) int { return idx % d.cfg.NumClasses }
-
 // sampleSeed derives the per-image RNG seed. split 0=train, 1=val.
 func (d *Dataset) sampleSeed(split, idx int) int64 {
 	return d.cfg.Seed*1e12 + int64(split)*1e10 + int64(idx)

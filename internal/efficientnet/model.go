@@ -157,16 +157,6 @@ func New(rng *rand.Rand, cfg Config) *Model {
 	return m
 }
 
-// NewByName builds the named family member, panicking on unknown names
-// (use ConfigByName to probe).
-func NewByName(rng *rand.Rand, name string, numClasses int) *Model {
-	cfg, ok := ConfigByName(name, numClasses)
-	if !ok {
-		panic(fmt.Sprintf("efficientnet: unknown model %q", name))
-	}
-	return New(rng, cfg)
-}
-
 // Conv1x1Fn computes one of the model's 1×1 convolutions (MBConv expand and
 // project, the head conv). ForwardConv routes every such conv through it,
 // letting the replica engine substitute a channel-sharded evaluation whose

@@ -195,11 +195,6 @@ func SwishLayer() *Activation {
 	return &Activation{Name: "swish", F: autograd.Swish}
 }
 
-// ReLULayer returns a ReLU activation Layer.
-func ReLULayer() *Activation {
-	return &Activation{Name: "relu", F: autograd.ReLU}
-}
-
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer

@@ -16,11 +16,12 @@ func TestCollectiveLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	bufs := [][]float32{{1}, {2}, {3}}
+	bufs64 := [][]float64{{1}, {2}, {3}}
 	done := make(chan struct{})
 	for _, c := range colls {
 		go func(c comm.Collective) {
 			c.AllReduce(bufs[c.Rank()])
-			c.Barrier()
+			c.AllReduceF64(bufs64[c.Rank()])
 			done <- struct{}{}
 		}(c)
 	}
@@ -29,7 +30,7 @@ func TestCollectiveLog(t *testing.T) {
 	}
 	evs := log.Events()
 	if len(evs) != 6 {
-		t.Fatalf("got %d events, want 6 (3 ranks × allreduce+barrier)", len(evs))
+		t.Fatalf("got %d events, want 6 (3 ranks × allreduce+allreduce_f64)", len(evs))
 	}
 	seen := map[int][]comm.Op{}
 	for _, ev := range evs {
@@ -40,8 +41,8 @@ func TestCollectiveLog(t *testing.T) {
 	}
 	for r := 0; r < 3; r++ {
 		ops := seen[r]
-		if len(ops) != 2 || ops[0] != comm.OpAllReduce || ops[1] != comm.OpBarrier {
-			t.Fatalf("rank %d ops = %v, want [allreduce barrier]", r, ops)
+		if len(ops) != 2 || ops[0] != comm.OpAllReduce || ops[1] != comm.OpAllReduceF64 {
+			t.Fatalf("rank %d ops = %v, want [allreduce allreduce_f64]", r, ops)
 		}
 	}
 	if bufs[0][0] != 6 {

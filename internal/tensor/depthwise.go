@@ -146,38 +146,22 @@ func DepthwiseConv2DPackedInto(dst, x *Tensor, w PackedDepthwise, spec ConvSpec,
 }
 
 // depthwiseForwardOne convolves one (sample, channel) plane. The tap window
-// is clipped against the input once per output row, and once per output
-// column outside [oxLo, oxHi), so no tap is ever bounds-tested; taps run i
-// ascending then j ascending over the clipped window, which is the naive
-// checked loop's order with the skipped taps left out. Outputs whose window
-// spans the kernel's full width go as one run per row, with the 3- and 5-wide
-// rows of taps (all EfficientNet uses) unrolled.
+// is clipped against the input once per output row and once per output
+// column, so no tap is ever bounds-tested; taps run i ascending then j
+// ascending over the clipped window, which is the naive checked loop's order
+// with the skipped taps left out.
 func depthwiseForwardOne(dst, x *Tensor, w []float32, g dwGeom, c, nc int) {
 	h, wd, kh, kw, oh, ow, sw := g.h, g.w, g.kh, g.kw, g.oh, g.ow, g.strideW
 	ch := nc % c
 	xs := x.data[nc*h*wd : (nc+1)*h*wd]
 	ws := w[ch*kh*kw : (ch+1)*kh*kw]
 	os := dst.data[nc*oh*ow : (nc+1)*oh*ow]
-	unrolled := (kw == 3 || kw == 5) && g.oxLo < g.oxHi
 	for oy := 0; oy < oh; oy++ {
 		iy0 := oy*g.strideH - g.padH
 		iLo, iHi := clipTaps(iy0, kh, h)
 		orow := os[oy*ow : oy*ow+ow]
 		for ox := 0; ox < ow; ox++ {
 			ix0 := ox*sw - g.padW
-			if unrolled && ox == g.oxLo && iLo < iHi {
-				run, xrun, wrows := orow[ox:g.oxHi], xs[(iy0+iLo)*wd+ix0:], ws[iLo*kw:iHi*kw]
-				switch {
-				case kw == 5:
-					depthwiseRun5(run, xrun, wrows, wd, sw)
-				case iHi-iLo == 3:
-					depthwiseRun3x3(run, xrun, wrows, wd, sw)
-				default:
-					depthwiseRun3(run, xrun, wrows, wd, sw)
-				}
-				ox = g.oxHi - 1
-				continue
-			}
 			jLo, jHi := clipTaps(ix0, kw, wd)
 			var acc float32
 			for i := iLo; i < iHi; i++ {
@@ -188,59 +172,6 @@ func depthwiseForwardOne(dst, x *Tensor, w []float32, g dwGeom, c, nc int) {
 			}
 			orow[ox] = acc
 		}
-	}
-}
-
-// depthwiseRun3x3 computes a run of outputs whose windows span the full
-// width of a 3-wide kernel and three of its rows (ws): xs starts at the first
-// output's first tap, rows are wd apart and consecutive outputs sw apart.
-func depthwiseRun3x3(out, xs, ws []float32, wd, sw int) {
-	w0, w1, w2, w3, w4, w5, w6, w7, w8 := ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6], ws[7], ws[8]
-	x0, x1, x2 := xs, xs[wd:], xs[2*wd:]
-	for t := range out {
-		o := t * sw
-		r0, r1, r2 := x0[o:o+3:o+3], x1[o:o+3:o+3], x2[o:o+3:o+3]
-		var acc float32
-		acc += r0[0] * w0
-		acc += r0[1] * w1
-		acc += r0[2] * w2
-		acc += r1[0] * w3
-		acc += r1[1] * w4
-		acc += r1[2] * w5
-		acc += r2[0] * w6
-		acc += r2[1] * w7
-		acc += r2[2] * w8
-		out[t] = acc
-	}
-}
-
-// depthwiseRun3 is depthwiseRun3x3 for any number of kernel rows, len(ws)/3.
-func depthwiseRun3(out, xs, ws []float32, wd, sw int) {
-	for t := range out {
-		var acc float32
-		for i, o := 0, t*sw; i+3 <= len(ws); i, o = i+3, o+wd {
-			r, k := xs[o:o+3:o+3], ws[i:i+3:i+3]
-			acc += r[0] * k[0]
-			acc += r[1] * k[1]
-			acc += r[2] * k[2]
-		}
-		out[t] = acc
-	}
-}
-
-// depthwiseRun5 is depthwiseRun3 for 5-wide kernel rows.
-func depthwiseRun5(out, xs, ws []float32, wd, sw int) {
-	for t := range out {
-		var acc float32
-		for i, o := 0, t*sw; i+5 <= len(ws); i, o = i+5, o+wd {
-			r, k := xs[o:o+5:o+5], ws[i:i+5:i+5]
-			acc += r[0] * k[0]
-			acc += r[1] * k[1]
-			acc += r[2] * k[2]
-			acc += r[3] * k[3]
-			acc += r[4] * k[4]
-		}
-		out[t] = acc
 	}
 }
 

@@ -40,10 +40,10 @@
 // bounds test.
 //
 // The depthwise kernels (depthwise.go) clip the tap window against the input
-// once per output row and once per edge column, then accumulate over the
-// clipped window with no per-tap test; outputs whose window spans the full
-// kernel width go as one run per row through unrolled 3- and 5-wide tap
-// rows, forward and backward. Taps are visited i then j ascending and every
+// once per output row and once per column, then accumulate over the clipped
+// window with no per-tap test; in the backward, outputs whose window spans
+// the full kernel width go as one run per row through unrolled 3- and 5-wide
+// tap rows. Taps are visited i then j ascending and every
 // gradient element receives its contributions in row-major output order, so
 // forward, dx and dw are bit-identical to the naive checked quadruple loop
 // (TestDepthwiseClippedMatchesNaive, FuzzDepthwiseClipped). With AVX2 the
