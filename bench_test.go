@@ -1,6 +1,6 @@
 // Package effnetscale's root benchmark harness regenerates every table and
 // figure of the paper's evaluation section as Go benchmarks, plus kernel and
-// ablation benches for the design choices DESIGN.md calls out.
+// ablation benches for the design choices docs/architecture.md describes.
 //
 // Artifact map:
 //

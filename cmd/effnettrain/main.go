@@ -44,7 +44,7 @@ func main() {
 		replicas   = flag.Int("replicas", 4, "number of data-parallel replicas")
 		shards     = flag.Int("model-shards", 1, "model-parallel shards per replica group: lays -replicas ranks out as a (replicas/shards)×shards mesh (must divide -replicas; 1 = pure data parallelism)")
 		perBatch   = flag.Int("per-replica-batch", 16, "per-replica batch size")
-		opt        = flag.String("optimizer", "lars", "optimizer: sgd, rmsprop, lars, adam, lamb, sm3")
+		opt        = flag.String("optimizer", "lars", "optimizer: sgd, rmsprop, lars")
 		lrPer256   = flag.Float64("lr-per-256", 40, "learning rate per 256 samples (linear scaling rule; LARS wants ~40, SGD ~0.4)")
 		decay      = flag.String("decay", "polynomial", "LR decay: polynomial, exponential, cosine, constant")
 		warmup     = flag.Float64("warmup-epochs", 2, "linear warmup epochs")

@@ -1,8 +1,8 @@
 // Command minisweep runs mini-scale real-training grids over optimizers,
 // global batch sizes and BN group sizes, emitting a CSV of final train and
 // validation accuracies plus each cell's telemetry columns (training img/s
-// and comm-overlap efficiency). It is the tool behind the mini-scale
-// validation tables in EXPERIMENTS.md. Each cell of the grid is one
+// and comm-overlap efficiency): the real-training counterpart of the
+// simulated Table 2 that podbench prints. Each cell of the grid is one
 // train.Session run with telemetry attached; -telemetry-jsonl additionally
 // streams every cell's per-step records, labelled per cell, into one file.
 //
@@ -99,19 +99,14 @@ func parseInts(csv string) []int {
 }
 
 // sweepSchedule is each optimizer's house schedule: the linear scaling rule
-// for RMSProp, a roughly batch-independent global LR for the trust-ratio
-// optimizers (mirroring the paper's LARS rows, whose per-256 LR halves as
-// batch doubles).
+// for RMSProp, a roughly batch-independent global LR for LARS (mirroring
+// the paper's LARS rows, whose per-256 LR halves as batch doubles).
 func sweepSchedule(opt string, epochs int, larsLR, rmsLR float64) train.Option {
 	switch opt {
 	case "rmsprop":
 		return train.WithLinearScaling(rmsLR, 0.5, train.ExponentialDecay)
 	case "lars":
 		return train.WithSchedule(schedule.Warmup{Epochs: 1, Inner: schedule.Polynomial{Peak: larsLR, End: 0, TotalEpochs: float64(epochs), Power: 2}})
-	case "lamb":
-		// LAMB's trust ratio normalizes each update to ‖w‖ scale, so its
-		// LR is a per-step fraction of the weight norm — order 0.05.
-		return train.WithSchedule(schedule.Warmup{Epochs: 1, Inner: schedule.Polynomial{Peak: 0.05, End: 0, TotalEpochs: float64(epochs), Power: 2}})
 	default:
 		return train.WithSchedule(schedule.Warmup{Epochs: 0.5, Inner: schedule.Constant(0.1)})
 	}

@@ -1,7 +1,7 @@
 // Package optim implements the optimizers the paper trains with: RMSProp
 // (the original EfficientNet optimizer, used for batch ≤ 16384) and LARS
-// (used to reach batch 65536, §3.1), plus SM3 (the paper's future-work
-// optimizer, §5), LAMB, Adam and SGD as baselines.
+// (used to reach batch 65536, §3.1), plus SGD, which the benchmark's
+// throughput workloads step.
 //
 // All optimizers mutate nn.Param weights in place given the gradients
 // accumulated by autograd, and are stateful across steps (momentum buffers
@@ -9,8 +9,7 @@
 // per parameter, so a caller may step any subset: the replica engine gives
 // each rank only the parameters it owns, and a warm Step allocates nothing.
 // A snapshot captured over a subset holds that subset's slots, so captures
-// over disjoint subsets merge into the capture over their union. Step
-// counters (Adam, LAMB) advance once per Step call, whatever the subset.
+// over disjoint subsets merge into the capture over their union.
 //
 // Seams: Optimizer is the interface the replica engine drives (Step +
 // checkpoint.StateCodec, so every optimizer's slots snapshot and restore

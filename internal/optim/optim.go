@@ -12,9 +12,9 @@ import (
 // global learning rate for this step (produced by a schedule.Schedule).
 //
 // Every optimizer is a snapshot participant: CaptureState serializes its
-// per-parameter slots (momentum buffers, second-moment accumulators) and
-// scalar counters keyed by parameter name, and RestoreState rebuilds them so
-// a resumed run steps bit-for-bit identically to the uninterrupted one.
+// per-parameter slots (momentum buffers, second-moment accumulators) keyed
+// by parameter name, and RestoreState rebuilds them so a resumed run steps
+// bit-for-bit identically to the uninterrupted one.
 type Optimizer interface {
 	Step(params []*nn.Param, lr float64)
 	Name() string
@@ -205,229 +205,8 @@ func (o *LARS) Step(params []*nn.Param, lr float64) {
 	}
 }
 
-// --- Adam ---------------------------------------------------------------------
-
-// Adam is the standard Adam optimizer with bias correction.
-type Adam struct {
-	Beta1, Beta2 float64
-	Eps          float64
-	WeightDecay  float64
-	step         int
-	slots        state
-}
-
-// NewAdam returns Adam with the usual (0.9, 0.999, 1e-8) constants.
-func NewAdam(weightDecay float64) *Adam {
-	return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay, slots: state{}}
-}
-
-// Name implements Optimizer.
-func (o *Adam) Name() string { return "adam" }
-
-// Step applies one update.
-func (o *Adam) Step(params []*nn.Param, lr float64) {
-	o.step++
-	b1 := o.Beta1
-	b2 := o.Beta2
-	bc1 := 1 - math.Pow(b1, float64(o.step))
-	bc2 := 1 - math.Pow(b2, float64(o.step))
-	for _, p := range params {
-		g := p.Grad()
-		if g == nil {
-			continue
-		}
-		w := p.Data()
-		sl := o.slots.get(p, 2)
-		m, v := sl[0], sl[1]
-		wd := float32(o.WeightDecay)
-		if p.NoAdapt {
-			wd = 0
-		}
-		for i := range w.Data() {
-			grad := float64(g.Data()[i] + wd*w.Data()[i])
-			m.Data()[i] = float32(b1*float64(m.Data()[i]) + (1-b1)*grad)
-			v.Data()[i] = float32(b2*float64(v.Data()[i]) + (1-b2)*grad*grad)
-			mhat := float64(m.Data()[i]) / bc1
-			vhat := float64(v.Data()[i]) / bc2
-			w.Data()[i] -= float32(lr * mhat / (math.Sqrt(vhat) + o.Eps))
-		}
-	}
-}
-
-// --- LAMB ---------------------------------------------------------------------
-
-// LAMB (You et al. 2019) combines Adam's per-element adaptivity with a
-// LARS-style layer-wise trust ratio; it trained BERT in 76 minutes and is
-// the natural large-batch alternative the related-work section cites.
-type LAMB struct {
-	Beta1, Beta2 float64
-	Eps          float64
-	WeightDecay  float64
-	step         int
-	slots        state
-	// update is per-parameter scratch for the unscaled update, grown to the
-	// largest parameter and reused.
-	update []float64
-}
-
-// NewLAMB returns LAMB with standard constants.
-func NewLAMB(weightDecay float64) *LAMB {
-	return &LAMB{Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: weightDecay, slots: state{}}
-}
-
-// Name implements Optimizer.
-func (o *LAMB) Name() string { return "lamb" }
-
-// Step applies one update.
-func (o *LAMB) Step(params []*nn.Param, lr float64) {
-	o.step++
-	b1, b2 := o.Beta1, o.Beta2
-	bc1 := 1 - math.Pow(b1, float64(o.step))
-	bc2 := 1 - math.Pow(b2, float64(o.step))
-	for _, p := range params {
-		g := p.Grad()
-		if g == nil {
-			continue
-		}
-		w := p.Data()
-		sl := o.slots.get(p, 2)
-		m, v := sl[0], sl[1]
-		wd := o.WeightDecay
-		if p.NoAdapt {
-			wd = 0
-		}
-		if cap(o.update) < w.Len() {
-			o.update = make([]float64, w.Len())
-		}
-		update := o.update[:w.Len()]
-		var updNorm float64
-		for i := range w.Data() {
-			grad := float64(g.Data()[i])
-			m.Data()[i] = float32(b1*float64(m.Data()[i]) + (1-b1)*grad)
-			v.Data()[i] = float32(b2*float64(v.Data()[i]) + (1-b2)*grad*grad)
-			u := (float64(m.Data()[i]) / bc1) / (math.Sqrt(float64(v.Data()[i])/bc2) + o.Eps)
-			u += wd * float64(w.Data()[i])
-			update[i] = u
-			updNorm += u * u
-		}
-		updNorm = math.Sqrt(updNorm)
-		ratio := 1.0
-		if !p.NoAdapt {
-			wNorm := w.Norm()
-			if wNorm > 0 && updNorm > 0 {
-				ratio = wNorm / updNorm
-			}
-		}
-		s := float32(lr * ratio)
-		for i := range w.Data() {
-			w.Data()[i] -= s * float32(update[i])
-		}
-	}
-}
-
-// --- SM3 ---------------------------------------------------------------------
-
-// SM3 (Anil, Gupta, Koren, Singer 2019) is the memory-efficient adaptive
-// optimizer named in the paper's future work (§5). Instead of a full
-// second-moment tensor it keeps one accumulator per index of each dimension
-// (rows+cols for a matrix), using the cover structure: the effective
-// accumulator for an element is the minimum over the covers containing it.
-type SM3 struct {
-	Momentum    float64
-	WeightDecay float64
-	Eps         float64
-	// accums[p][d] has length = p.Data().Dim(d).
-	accums map[*nn.Param][][]float32
-	moms   state
-	// idx is the odometer's multi-index scratch, reused across parameters.
-	idx []int
-}
-
-// NewSM3 returns SM3 with momentum 0.9.
-func NewSM3(weightDecay float64) *SM3 {
-	return &SM3{Momentum: 0.9, WeightDecay: weightDecay, Eps: 1e-12, accums: map[*nn.Param][][]float32{}, moms: state{}}
-}
-
-// Name implements Optimizer.
-func (o *SM3) Name() string { return "sm3" }
-
-// MemoryElems reports the number of accumulator elements SM3 keeps for a
-// parameter of the given shape — the quantity the optimizer economizes
-// compared to Adam's full-shape second moment.
-func MemoryElems(shape []int) int {
-	n := 0
-	for _, d := range shape {
-		n += d
-	}
-	return n
-}
-
-// Step applies one update.
-func (o *SM3) Step(params []*nn.Param, lr float64) {
-	mu := float32(o.Momentum)
-	for _, p := range params {
-		g := p.Grad()
-		if g == nil {
-			continue
-		}
-		w := p.Data()
-		shape := w.Shape()
-		acc, ok := o.accums[p]
-		if !ok {
-			acc = make([][]float32, len(shape))
-			for d, sz := range shape {
-				acc[d] = make([]float32, sz)
-			}
-			o.accums[p] = acc
-		}
-		mom := o.moms.get(p, 1)[0]
-		wd := float32(o.WeightDecay)
-		if p.NoAdapt {
-			wd = 0
-		}
-		// Walk elements with an odometer over the multi-index.
-		if cap(o.idx) < len(shape) {
-			o.idx = make([]int, len(shape))
-		}
-		idx := o.idx[:len(shape)]
-		clear(idx)
-		lrf := float32(lr)
-		for i := range w.Data() {
-			grad := g.Data()[i] + wd*w.Data()[i]
-			// nu = min over covers + g².
-			nu := acc[0][idx[0]]
-			for d := 1; d < len(idx); d++ {
-				if a := acc[d][idx[d]]; a < nu {
-					nu = a
-				}
-			}
-			nu += grad * grad
-			// Write back max into every cover.
-			for d := range idx {
-				if nu > acc[d][idx[d]] {
-					acc[d][idx[d]] = nu
-				}
-			}
-			var upd float32
-			if nu > 0 {
-				upd = grad / float32(math.Sqrt(float64(nu))+o.Eps)
-			}
-			mom.Data()[i] = mu*mom.Data()[i] + upd
-			w.Data()[i] -= lrf * mom.Data()[i]
-			// Advance odometer.
-			for d := len(idx) - 1; d >= 0; d-- {
-				idx[d]++
-				if idx[d] < shape[d] {
-					break
-				}
-				idx[d] = 0
-			}
-		}
-	}
-}
-
 // ByName constructs an optimizer from its lower-case name. Supported:
-// sgd, rmsprop, lars, adam, lamb, sm3.
+// sgd, rmsprop, lars.
 func ByName(name string, weightDecay float64) (Optimizer, bool) {
 	switch name {
 	case "sgd":
@@ -436,12 +215,6 @@ func ByName(name string, weightDecay float64) (Optimizer, bool) {
 		return NewRMSProp(weightDecay), true
 	case "lars":
 		return NewLARS(weightDecay), true
-	case "adam":
-		return NewAdam(weightDecay), true
-	case "lamb":
-		return NewLAMB(weightDecay), true
-	case "sm3":
-		return NewSM3(weightDecay), true
 	}
 	return nil, false
 }

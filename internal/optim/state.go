@@ -11,11 +11,10 @@ import (
 
 // This file implements snapshot state capture/restore for every optimizer:
 // the momentum buffers and second-moment accumulators that live in the
-// per-parameter slot map, plus scalar counters (Adam/LAMB bias-correction
-// steps) and SM3's per-dimension cover accumulators. State is keyed by
-// parameter name — the stable identity that survives process restarts —
-// and restore validates names, shapes and counters so a snapshot from a
-// different run shape fails loudly instead of training on garbage.
+// per-parameter slot map. State is keyed by parameter name — the stable
+// identity that survives process restarts — and restore validates names and
+// shapes so a snapshot from a different run shape fails loudly instead of
+// training on garbage.
 
 // captureSlotState serializes a slot map: one "slot/<param>/<i>" blob per
 // slot tensor, plus the optimizer name for cross-optimizer restore checks.
@@ -39,11 +38,10 @@ func captureSlotState(name string, slots state, params []*nn.Param) (checkpoint.
 	return c, nil
 }
 
-// restoreSlotState rebuilds a slot map from a captured component. extraKeys
-// names the non-slot blobs the calling optimizer owns (e.g. "steps");
-// anything else that is not a well-formed slot for a known parameter is an
-// error — extra state means the snapshot belongs to a different setup.
-func restoreSlotState(name string, slots *state, nSlots int, params []*nn.Param, c checkpoint.Component, extraKeys ...string) error {
+// restoreSlotState rebuilds a slot map from a captured component. Anything
+// besides the name that is not a well-formed slot for a known parameter is
+// an error — extra state means the snapshot belongs to a different setup.
+func restoreSlotState(name string, slots *state, nSlots int, params []*nn.Param, c checkpoint.Component) error {
 	saved, err := c.Str("name")
 	if err != nil {
 		return err
@@ -55,13 +53,9 @@ func restoreSlotState(name string, slots *state, nSlots int, params []*nn.Param,
 	if err != nil {
 		return err
 	}
-	known := map[string]bool{"name": true}
-	for _, k := range extraKeys {
-		known[k] = true
-	}
 	fresh := state{}
 	for key := range c {
-		if known[key] {
+		if key == "name" {
 			continue
 		}
 		rest, ok := strings.CutPrefix(key, "slot/")
@@ -120,127 +114,4 @@ func (o *LARS) CaptureState(params []*nn.Param) (checkpoint.Component, error) {
 // RestoreState implements Optimizer.
 func (o *LARS) RestoreState(params []*nn.Param, c checkpoint.Component) error {
 	return restoreSlotState(o.Name(), &o.slots, 1, params, c)
-}
-
-// CaptureState implements Optimizer.
-func (o *Adam) CaptureState(params []*nn.Param) (checkpoint.Component, error) {
-	c, err := captureSlotState(o.Name(), o.slots, params)
-	if err != nil {
-		return nil, err
-	}
-	c.PutI64("steps", int64(o.step))
-	return c, nil
-}
-
-// RestoreState implements Optimizer.
-func (o *Adam) RestoreState(params []*nn.Param, c checkpoint.Component) error {
-	steps, err := c.I64("steps")
-	if err != nil {
-		return err
-	}
-	if err := restoreSlotState(o.Name(), &o.slots, 2, params, c, "steps"); err != nil {
-		return err
-	}
-	o.step = int(steps)
-	return nil
-}
-
-// CaptureState implements Optimizer.
-func (o *LAMB) CaptureState(params []*nn.Param) (checkpoint.Component, error) {
-	c, err := captureSlotState(o.Name(), o.slots, params)
-	if err != nil {
-		return nil, err
-	}
-	c.PutI64("steps", int64(o.step))
-	return c, nil
-}
-
-// RestoreState implements Optimizer.
-func (o *LAMB) RestoreState(params []*nn.Param, c checkpoint.Component) error {
-	steps, err := c.I64("steps")
-	if err != nil {
-		return err
-	}
-	if err := restoreSlotState(o.Name(), &o.slots, 2, params, c, "steps"); err != nil {
-		return err
-	}
-	o.step = int(steps)
-	return nil
-}
-
-// CaptureState implements Optimizer. SM3's state is the per-dimension cover
-// accumulators ("accum/<param>/<dim>") plus the momentum slot.
-func (o *SM3) CaptureState(params []*nn.Param) (checkpoint.Component, error) {
-	c, err := captureSlotState(o.Name(), o.moms, params)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range params {
-		acc, ok := o.accums[p]
-		if !ok {
-			continue
-		}
-		for d, cover := range acc {
-			c.PutF32(fmt.Sprintf("accum/%s/%d", p.Name, d), []int{len(cover)}, cover)
-		}
-	}
-	return c, nil
-}
-
-// RestoreState implements Optimizer.
-func (o *SM3) RestoreState(params []*nn.Param, c checkpoint.Component) error {
-	idx, err := nn.ParamIndex(params)
-	if err != nil {
-		return err
-	}
-	// Split the component: the shared helper handles "slot/..." momentum
-	// blobs and rejects unknowns, so accumulator blobs are peeled first.
-	moms := checkpoint.Component{}
-	accums := map[*nn.Param][][]float32{}
-	for key, blob := range c {
-		rest, ok := strings.CutPrefix(key, "accum/")
-		if !ok {
-			moms[key] = blob
-			continue
-		}
-		j := strings.LastIndex(rest, "/")
-		if j <= 0 {
-			return fmt.Errorf("optim: malformed accumulator key %q", key)
-		}
-		pname := rest[:j]
-		d, err := strconv.Atoi(rest[j+1:])
-		if err != nil || d < 0 {
-			return fmt.Errorf("optim: malformed accumulator key %q", key)
-		}
-		p, ok := idx[pname]
-		if !ok {
-			return fmt.Errorf("optim: snapshot has accumulator state for unknown parameter %q", pname)
-		}
-		shape := p.Data().Shape()
-		if d >= len(shape) {
-			return fmt.Errorf("optim: accumulator %q names dimension %d of a rank-%d parameter", key, d, len(shape))
-		}
-		data, err := c.F32(key, []int{shape[d]})
-		if err != nil {
-			return err
-		}
-		acc, ok := accums[p]
-		if !ok {
-			acc = make([][]float32, len(shape))
-			accums[p] = acc
-		}
-		acc[d] = append([]float32(nil), data...)
-	}
-	for p, acc := range accums {
-		for d, cover := range acc {
-			if cover == nil {
-				return fmt.Errorf("optim: snapshot is missing accumulator dimension %d of parameter %q", d, p.Name)
-			}
-		}
-	}
-	if err := restoreSlotState(o.Name(), &o.moms, 1, params, moms); err != nil {
-		return err
-	}
-	o.accums = accums
-	return nil
 }

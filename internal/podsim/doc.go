@@ -4,13 +4,13 @@
 // Figure 1 (training time to peak accuracy versus slice size) — from a
 // roofline step-time model plus a calibrated convergence model.
 //
-// Calibration contract (see DESIGN.md §5): the compute-utilization
+// Calibration contract: the compute-utilization
 // constants are fit once against the 128-core rows of Table 1 and the
 // interconnect constants come from comm.TPUv3Links; every other slice size
 // is then a prediction of the model, so the scaling behaviour (near-linear
 // throughput, small flat all-reduce share) is emergent rather than copied.
-// Accuracy constants in the convergence model are calibrated to Table 2 and
-// clearly labelled as calibrated in EXPERIMENTS.md.
+// Accuracy constants in the convergence model are calibrated to Table 2,
+// and `podbench -artifact table2` prints them beside the published values.
 //
 // Seams: ModelStepWith prices a step under any comm.Provider — the same
 // value that wires the executable mini-scale collectives — so modelled and

@@ -1,7 +1,7 @@
 package podsim
 
 // PaperTable1 holds the published Table 1 values for side-by-side
-// comparison in EXPERIMENTS.md and the benchmark harness.
+// comparison in podbench and the benchmark harness.
 var PaperTable1 = []Table1Row{
 	{Model: "b2", Cores: 128, GlobalBatch: 4096, ThroughputImgPerMs: 57.57, AllReducePct: 2.1},
 	{Model: "b2", Cores: 256, GlobalBatch: 8192, ThroughputImgPerMs: 113.73, AllReducePct: 2.6},

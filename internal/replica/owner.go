@@ -5,10 +5,10 @@ package replica
 // gradient after the all-reduce, but each data-axis rank averages and
 // updates only a contiguous run of whole parameters it owns, and one
 // in-place all-gather then copies every owner's updated weights into its
-// peers. Ownership is per whole parameter, so LARS's and LAMB's per-layer
-// trust ratios see the whole tensor; the update is per-element arithmetic on
-// the same inputs, and the refresh is a copy, so the weights come out bit for
-// bit what every rank updating everything would produce.
+// peers. Ownership is per whole parameter, so LARS's per-layer trust ratios
+// see the whole tensor; the update is per-element arithmetic on the same
+// inputs, and the refresh is a copy, so the weights come out bit for bit
+// what every rank updating everything would produce.
 
 // ownership cuts parameters, given by their [lo, hi) spans in Params()
 // order, into d contiguous runs, one per data-axis rank. Rank k owns

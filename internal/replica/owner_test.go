@@ -90,10 +90,8 @@ func ownedSlotNames(t *testing.T, rep *Replica) map[string]bool {
 	}
 	names := map[string]bool{}
 	for key := range c {
-		for _, prefix := range []string{"slot/", "accum/"} {
-			if rest, ok := strings.CutPrefix(key, prefix); ok {
-				names[rest[:strings.LastIndex(rest, "/")]] = true
-			}
+		if rest, ok := strings.CutPrefix(key, "slot/"); ok {
+			names[rest[:strings.LastIndex(rest, "/")]] = true
 		}
 	}
 	return names
@@ -119,10 +117,11 @@ func checkSlotsOnOwners(t *testing.T, e *Engine) {
 func TestShardedUpdateAnyPartitionSameBits(t *testing.T) {
 	// The partition decides only who computes an update, never its bits:
 	// one rank owning everything while three own nothing (and still join
-	// the refresh) trains the same trajectory as the balanced cut.
+	// the refresh) trains the same trajectory as the balanced cut, LARS's
+	// per-layer trust ratios included.
 	cfg := miniEngineConfig(4, 2, 2)
-	cfg.OptimizerName = "lamb"
-	cfg.Schedule = schedule.Constant(0.01)
+	cfg.OptimizerName = "lars"
+	cfg.Schedule = schedule.Constant(5)
 	balanced, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +161,9 @@ func TestShardedSlotsLiveOnOwners(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sm3/world3", miniEngineConfig(3, 2, 1)},
-		{"lamb/world3", miniEngineConfig(3, 2, 1)},
-		{"adam/mesh2x2", meshEngineConfig(2, 2, 2, 1)},
+		{"rmsprop/world3", miniEngineConfig(3, 2, 1)},
+		{"lars/world3", miniEngineConfig(3, 2, 1)},
+		{"rmsprop/mesh2x2", meshEngineConfig(2, 2, 2, 1)},
 	} {
 		tc.cfg.OptimizerName = tc.name[:strings.Index(tc.name, "/")]
 		tc.cfg.Schedule = schedule.Constant(0.01)
@@ -194,12 +193,11 @@ func TestShardedSlotsLiveOnOwners(t *testing.T) {
 	}
 }
 
-func TestResumeShardedLAMBWorld3(t *testing.T) {
-	// Uneven ownership plus LAMB's step counter: a resumed engine keeps only
-	// its owned slots and finishes bit for bit where the uninterrupted one
-	// does.
+func TestResumeShardedRMSPropWorld3(t *testing.T) {
+	// Uneven ownership: a resumed engine keeps only its owned moment slots
+	// and finishes bit for bit where the uninterrupted one does.
 	cfg := miniEngineConfig(3, 2, 1)
-	cfg.OptimizerName = "lamb"
+	cfg.OptimizerName = "rmsprop"
 	cfg.Schedule = schedule.Constant(0.01)
 	const killAt, total = 3, 6
 	ref, err := New(cfg)

@@ -880,9 +880,8 @@ func (r *Replica) trainStep(epoch, step int, lr float64, smoothing float32, data
 	// Sharded update: average and step only the owned run (every Grad
 	// aliases gradBuf), then copy every owner's weights into this rank. The
 	// stream is done with the data-axis endpoint, so the refresh is its only
-	// call. Every rank steps, even one that owns nothing, so Adam's and
-	// LAMB's step counters stay equal everywhere; at a data axis of 1 the
-	// rank owns everything and there is nothing to refresh.
+	// call. At a data axis of 1 the rank owns everything and there is
+	// nothing to refresh.
 	lo, hi := r.ownBounds[r.dataRank], r.ownBounds[r.dataRank+1]
 	inv := float32(1) / float32(dataWorld*r.accum)
 	g := r.gradBuf[lo:hi]

@@ -136,8 +136,8 @@ func (e *Engine) CaptureState() (*checkpoint.Snapshot, error) {
 	}
 	oc := checkpoint.Component{}
 	for d := 0; d < e.cfg.Mesh.Data; d++ {
-		// Owners' keys are disjoint apart from the optimizer's name and step
-		// counter, which every rank holds equal.
+		// Owners' keys are disjoint apart from the optimizer's name, which
+		// every rank holds equal.
 		owner := e.replicas[e.cfg.Mesh.Rank(d, 0)]
 		c, err := owner.opt.CaptureState(owner.owned)
 		if err != nil {
@@ -250,7 +250,7 @@ func (e *Engine) validateFingerprint(eng checkpoint.Component) error {
 // restoreOwnedSlots restores the optimizer from the merged component,
 // validated against every parameter, and then keeps only the slots of the
 // parameters this rank owns: a capture over the owned run holds exactly
-// those slots and the counters, and restoring it replaces the rest.
+// those slots, and restoring it replaces the rest.
 func (r *Replica) restoreOwnedSlots(oc checkpoint.Component) error {
 	if err := r.opt.RestoreState(r.Model.Params(), oc); err != nil {
 		return err

@@ -40,7 +40,6 @@
 //     telemetry schema.
 //
 // cmd/effnetserve exposes the package over HTTP (/predict, /healthz,
-// /stats); examples/trainserve walks the full train → snapshot → serve →
-// hot-reload loop. The serve_rates workload of the repository benchmark
-// (bench/) is the load generator.
+// /stats). The serve_rates workload of the repository benchmark (bench/) is
+// the load generator.
 package serve

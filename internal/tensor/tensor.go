@@ -326,7 +326,7 @@ func Apply(a *Tensor, f func(float32) float32) *Tensor {
 
 // The float64 reductions below add in index order on the calling goroutine,
 // so their bits depend on neither the worker bound nor the host: an
-// optimizer's trust ratio (LARS, LAMB) is the same at any GOMAXPROCS. The
+// optimizer's trust ratio (LARS) is the same at any GOMAXPROCS. The
 // conversions round each product before the add, which keeps a compiler
 // from fusing the two.
 

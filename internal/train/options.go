@@ -194,8 +194,8 @@ func WithGradAccum(n int) Option {
 	}
 }
 
-// WithOptimizer selects the optimizer by name (sgd, rmsprop, lars, adam,
-// lamb, sm3) with the given L2 weight decay.
+// WithOptimizer selects the optimizer by name (sgd, rmsprop, lars) with the
+// given L2 weight decay.
 func WithOptimizer(name string, weightDecay float64) Option {
 	return func(c *config) error {
 		if name == "" {
